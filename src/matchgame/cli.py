@@ -88,12 +88,12 @@ def _cmd_verify(args) -> int:
 def _cmd_lemma1(args) -> int:
     inst = GameInstance(args.m)
     strategy = complete_anchor_strategy(inst) if args.complete else anchor_strategy(inst)
-    sys.stdout.write(format_strategy(strategy))
+    _emit_strategy(strategy, None)
     return 0
 
 
 def _cmd_figures(args) -> int:
-    sys.stdout.write(format_strategy(known_winning_strategy(args.m)))
+    _emit_strategy(known_winning_strategy(args.m), None)
     return 0
 
 
@@ -241,16 +241,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValidationError, UnsupportedGameError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (FormatError, ValidationError, UnsupportedGameError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

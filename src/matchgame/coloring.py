@@ -184,18 +184,24 @@ def _check_parity_domain(g: Graph, h: ParityFunction) -> None:
             raise ValidationError(f"parity of {e} must be 0 or 1, got {bit!r}")
 
 
+def _propagate(g: Graph, h: ParityFunction) -> _ParityUnionFind | None:
+    """Union-find holding every edge constraint of h; None on an odd cycle."""
+    _check_parity_domain(g, h)
+    uf = _ParityUnionFind(g.vertex_count)
+    for e in g.sorted_edges():
+        if not uf.union(e.i, e.j, h[e]):
+            return None
+    return uf
+
+
 def count_colorings(g: Graph, h: ParityFunction) -> int:
     """Number of colorings c with c(u) xor c(v) == h(edge) on every edge.
 
     Either 0 (an odd-parity cycle exists) or exactly 2^k with k the number
     of components.  Runs by parity propagation, never by enumeration.
     """
-    _check_parity_domain(g, h)
-    uf = _ParityUnionFind(g.vertex_count)
-    for e in g.sorted_edges():
-        if not uf.union(e.i, e.j, h[e]):
-            return 0
-    return 1 << uf.components
+    uf = _propagate(g, h)
+    return 0 if uf is None else 1 << uf.components
 
 
 def edge_parities_from_string(r: BitString, g: Graph) -> dict[Edge, int]:
@@ -213,33 +219,18 @@ def strings_from_colorings(g: Graph, h: ParityFunction) -> set[BitString]:
     Empty when no coloring exists; otherwise one string per coloring, so the
     size equals count_colorings(g, h).
     """
-    _check_parity_domain(g, h)
-    parities = {e: h[e] for e in g.edges}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        adj[e.i].append((e.j, parities[e]))
-        adj[e.j].append((e.i, parities[e]))
-    assigned: dict[int, int] = {}
-    masks: list[int] = []
+    uf = _propagate(g, h)
+    if uf is None:
+        return set()
     top = g.vertex_count - 1
-    for comp in components(g):
-        start = min(comp)
-        assigned[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w, bit in adj[v]:
-                want = assigned[v] ^ bit
-                if w in assigned:
-                    if assigned[w] != want:
-                        return set()
-                else:
-                    assigned[w] = want
-                    queue.append(w)
-        masks.append(sum(1 << (top - v) for v in comp))
-    base = sum(bit << (top - v) for v, bit in assigned.items())
+    base = 0
+    masks: dict[int, int] = {}
+    for v in range(g.vertex_count):
+        root, bit = uf.find(v)
+        base |= bit << (top - v)
+        masks[root] = masks.get(root, 0) | 1 << (top - v)
     values = [base]
-    for mask in masks:
+    for mask in masks.values():
         values += [v ^ mask for v in values]
     return {BitString(v, g.vertex_count) for v in values}
 

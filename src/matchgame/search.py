@@ -20,13 +20,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .game import BitString, Edge, GameInstance
+from .game import BitString, GameInstance
 from .matchings import PerfectMatching, enumerate_matchings
 from .strategies import (
     BobEntry,
     DeterministicStrategy,
     PartialStrategy,
     SuccessRatio,
+    _check_bob_entry,
     anchor_strategy,
 )
 
@@ -39,53 +40,56 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
+_RESTART_EVERY = 64
 
 
 class _SearchContext:
-    """Per-m integer tables shared by every Bob-table evaluation."""
+    """Per-m integer tables shared by every Bob-table evaluation.
+
+    A Bob table is an int64 array ``pick`` over the canonical matchings:
+    ``pick[k] = pos * 2^n + b2`` answers edge ``pos`` of matching k with b2.
+    It is scored only through that edge and the parity dot(i ^ j, b2).
+    """
 
     def __init__(self, inst: GameInstance):
         m, n = inst.m, inst.n
         self.inst = inst
         self.matchings = enumerate_matchings(inst)
         self.total = (1 << m) * len(self.matchings)
-        xs = np.arange(1 << m, dtype=np.int64)
-        self.edge_list = [Edge(i, j) for i in range(m) for j in range(i + 1, m)]
-        self.edge_index = {e: k for k, e in enumerate(self.edge_list)}
-        rows = []
-        for e in self.edge_list:
-            rows.append(((xs >> (m - 1 - e.i)) ^ (xs >> (m - 1 - e.j))) & 1)
-        # edge_parity[e, x] = x_i xor x_j; transposed copy feeds the matmul
-        self.edge_parity = np.array(rows, dtype=np.int32)
-        self.edge_parity_t = np.ascontiguousarray(self.edge_parity.T)
-        self.a_values = np.arange(1 << n, dtype=np.int64)
-        self.bit_parity = np.array(
-            [v.bit_count() & 1 for v in range(1 << n)], dtype=np.int32
+        self.choices = (m // 2) << n
+        pairs = list(itertools.combinations(range(m), 2))
+        edge_id = {pair: k for k, pair in enumerate(pairs)}
+        # edge_ids[k, pos] = id of edge pos of matching k
+        self.edge_ids = np.array(
+            [[edge_id[e.i, e.j] for e in y.edges] for y in self.matchings],
+            dtype=np.int64,
         )
-        # Candidate (edge, b2) entries per matching, in canonical order.
-        self.entries: list[list[tuple[Edge, int]]] = [
-            [(e, b2) for e in y.edges for b2 in range(1 << n)]
-            for y in self.matchings
-        ]
+        i, j = np.array(pairs, dtype=np.int64).T
+        xs = np.arange(1 << m, dtype=np.int64)[:, None]
+        # edge_parity_t[x, e] = x_i xor x_j
+        bits = ((xs >> (m - 1 - i)) ^ (xs >> (m - 1 - j))) & 1
+        self.edge_parity_t = bits.astype(np.int32)
+        # answer_parity[e, a] = dot(i xor j, a)
+        self.answer_parity = np.array(
+            [[((i ^ j) & a).bit_count() & 1 for a in range(1 << n)] for i, j in pairs],
+            dtype=np.int32,
+        )
 
-    def evaluate(self, table: list[tuple[Edge, int]]) -> tuple[int, np.ndarray]:
+    def evaluate(self, pick: np.ndarray) -> tuple[int, np.ndarray]:
         """Best-response win count and per-x answer choice for one Bob table.
 
         agree[x, a] counts matchings won when Alice answers a on input x;
         with 0/1 entries p, r the identity [p == r] = 1 - p - r + 2pr turns
         the count into one integer matmul.  Ties pick the smallest a.
         """
-        eidx = np.fromiter(
-            (self.edge_index[e] for e, _ in table), dtype=np.int64, count=len(table)
-        )
-        dv = np.fromiter(
-            (e.i ^ e.j for e, _ in table), dtype=np.int64, count=len(table)
-        )
-        b2 = np.fromiter((b for _, b in table), dtype=np.int64, count=len(table))
-        r = self.bit_parity[dv[:, None] & (self.a_values[None, :] ^ b2[:, None])]
-        p_t = self.edge_parity_t[:, eidx]
+        n = self.inst.n
+        edge = np.take_along_axis(self.edge_ids, (pick >> n)[:, None], axis=1)[:, 0]
+        parity = self.answer_parity[edge, pick & ((1 << n) - 1)]
+        # r[k, a] = dot(i ^ j, a ^ b2) for matching k's answer
+        r = self.answer_parity[edge] ^ parity[:, None]
+        p_t = self.edge_parity_t[:, edge]
         agree = (
-            len(table)
+            len(pick)
             - p_t.sum(axis=1)[:, None]
             - r.sum(axis=0)[None, :]
             + 2 * (p_t @ r)
@@ -94,40 +98,33 @@ class _SearchContext:
         wins = int(agree.max(axis=1).sum())
         return wins, choice
 
-    def table_from_bob(
-        self, bob: Mapping[PerfectMatching, BobEntry]
-    ) -> list[tuple[Edge, int]]:
+    def pick_from_bob(self, bob: Mapping[PerfectMatching, BobEntry]) -> np.ndarray:
         if len(bob) != len(self.matchings):
             raise ValidationError(
                 f"bob table covers {len(bob)} of {len(self.matchings)} matchings"
             )
-        n = self.inst.n
-        table = []
-        for y in self.matchings:
+        pick = np.empty(len(self.matchings), dtype=np.int64)
+        for k, y in enumerate(self.matchings):
             entry = bob.get(y)
             if entry is None:
                 raise ValidationError(f"bob table is missing matching {y}")
+            _check_bob_entry(y, entry, self.inst)
             edge, b2 = entry
-            if edge not in y:
-                raise ValidationError(f"bob output {edge} is not an edge of {y}")
-            value = b2.value if isinstance(b2, BitString) else int(b2)
-            if not 0 <= value < (1 << n):
-                raise ValidationError(f"b2 value {value} does not fit in {n} bits")
-            table.append((edge, value))
-        return table
+            pick[k] = (y.edges.index(edge) << self.inst.n) | b2.value
+        return pick
 
-    def strategy_from_table(
-        self, table: list[tuple[Edge, int]], choice: np.ndarray
-    ) -> DeterministicStrategy:
+    def strategy(self, pick: np.ndarray) -> tuple[DeterministicStrategy, int]:
+        """Bob table ``pick`` with Alice best-responding, and its win count."""
         m, n = self.inst.m, self.inst.n
+        wins, choice = self.evaluate(pick)
         alice = {
-            BitString(xv, m): BitString(int(choice[xv]), n) for xv in range(1 << m)
+            BitString(xv, m): BitString(a, n) for xv, a in enumerate(choice.tolist())
         }
         bob = {
-            y: (edge, BitString(b2, n))
-            for y, (edge, b2) in zip(self.matchings, table)
+            y: (y.edges[p >> n], BitString(p & ((1 << n) - 1), n))
+            for y, p in zip(self.matchings, pick.tolist())
         }
-        return DeterministicStrategy(m, alice, bob)
+        return DeterministicStrategy(m, alice, bob), wins
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +140,8 @@ def alice_best_response(
     The returned success is the exact count achieved by that pair.
     """
     ctx = _context(inst.m)
-    table = ctx.table_from_bob(bob_table)
-    wins, choice = ctx.evaluate(table)
-    alice = {
-        BitString(xv, inst.m): BitString(int(choice[xv]), inst.n)
-        for xv in range(1 << inst.m)
-    }
-    return alice, SuccessRatio(wins, ctx.total)
+    strategy, wins = ctx.strategy(ctx.pick_from_bob(bob_table))
+    return strategy.alice, SuccessRatio(wins, ctx.total)
 
 
 def exact_optimum(
@@ -164,23 +156,18 @@ def exact_optimum(
     exceeds the budget.
     """
     ctx = _context(inst.m)
-    space = 1
-    for ents in ctx.entries:
-        space *= len(ents)
+    space = ctx.choices ** len(ctx.matchings)
     if space > budget:
         raise BudgetExceededError(space, budget)
-    best_wins = -1
-    best_table: list[tuple[Edge, int]] | None = None
-    best_choice: np.ndarray | None = None
-    for combo in itertools.product(*ctx.entries):
-        table = list(combo)
-        wins, choice = ctx.evaluate(table)
+    best_wins, best_pick = -1, None
+    for combo in itertools.product(range(ctx.choices), repeat=len(ctx.matchings)):
+        pick = np.array(combo, dtype=np.int64)
+        wins, _ = ctx.evaluate(pick)
         if wins > best_wins:
-            best_wins, best_table, best_choice = wins, table, choice
+            best_wins, best_pick = wins, pick
             if wins == ctx.total:
                 break
-    assert best_table is not None and best_choice is not None
-    strategy = ctx.strategy_from_table(best_table, best_choice)
+    strategy, _ = ctx.strategy(best_pick)
     return SuccessRatio(best_wins, ctx.total), strategy
 
 
@@ -207,50 +194,47 @@ def hill_climb(
     seed: int,
     iterations: int,
     start: PartialStrategy | None = None,
-    restart_every: int = 64,
-    history: list[tuple[int, bool]] | None = None,
+    history: list[tuple[int, str]] | None = None,
 ) -> tuple[DeterministicStrategy, SuccessRatio]:
     """Seeded local search over Bob tables, Alice always best-responding.
 
     Each iteration either proposes a single-matching change to the current
-    table, accepting strict improvements, or (every ``restart_every``-th
-    iteration) restarts from a fresh random table.  The best table ever
-    evaluated is returned with its exact success; for a fixed seed and
-    iteration count the outcome is deterministic.  When ``history`` is a
-    list, a (wins, kind) pair is appended for every evaluation, with kind
-    one of "start", "restart", "accept", "reject".
+    table, accepting strict improvements, or (every 64th iteration) restarts
+    from a fresh random table.  The best table ever evaluated is returned
+    with its exact success; for a fixed seed and iteration count the outcome
+    is deterministic.  When ``history`` is a list, a (wins, kind) pair is
+    appended for every evaluation, with kind one of "start", "restart",
+    "accept", "reject".
     """
     ctx = _context(inst.m)
     rng = random.Random(seed)
+    size = len(ctx.matchings)
 
-    def random_table() -> list[tuple[Edge, int]]:
-        return [ents[rng.randrange(len(ents))] for ents in ctx.entries]
+    def random_pick() -> np.ndarray:
+        draws = [rng.randrange(ctx.choices) for _ in range(size)]
+        return np.array(draws, dtype=np.int64)
 
     def note(wins: int, kind: str) -> None:
         if history is not None:
             history.append((wins, kind))
 
-    if start is not None:
-        current = ctx.table_from_bob(start.bob)
-    else:
-        current = random_table()
+    current = ctx.pick_from_bob(start.bob) if start is not None else random_pick()
     cur_wins, _ = ctx.evaluate(current)
     note(cur_wins, "start")
-    best_wins, best_table = cur_wins, list(current)
+    best_wins, best_pick = cur_wins, current
     for it in range(iterations):
         if best_wins == ctx.total:
             break
-        if restart_every and it and it % restart_every == 0:
-            current = random_table()
+        if it and it % _RESTART_EVERY == 0:
+            current = random_pick()
             cur_wins, _ = ctx.evaluate(current)
             note(cur_wins, "restart")
         else:
-            k = rng.randrange(len(ctx.entries))
-            ents = ctx.entries[k]
-            alt = ents[rng.randrange(len(ents))]
+            k = rng.randrange(size)
+            alt = rng.randrange(ctx.choices)
             while alt == current[k]:
-                alt = ents[rng.randrange(len(ents))]
-            candidate = list(current)
+                alt = rng.randrange(ctx.choices)
+            candidate = current.copy()
             candidate[k] = alt
             wins, _ = ctx.evaluate(candidate)
             if wins > cur_wins:
@@ -259,8 +243,7 @@ def hill_climb(
             else:
                 note(wins, "reject")
         if cur_wins > best_wins:
-            best_wins, best_table = cur_wins, list(current)
-    wins, choice = ctx.evaluate(best_table)
+            best_wins, best_pick = cur_wins, current
+    strategy, wins = ctx.strategy(best_pick)
     assert wins == best_wins
-    strategy = ctx.strategy_from_table(best_table, choice)
     return strategy, SuccessRatio(best_wins, ctx.total)

@@ -57,6 +57,21 @@ class SuccessRatio:
         return f"{self.wins}/{self.total}"
 
 
+def _check_bob_entry(y: PerfectMatching, entry: BobEntry, inst: GameInstance) -> None:
+    """Raise ValidationError unless ``entry`` is a legal answer of Bob's to y."""
+    edge, b2 = entry
+    if y.m != inst.m:
+        raise ValidationError(
+            f"bob input {y} covers {y.m} vertices, expected {inst.m}"
+        )
+    if edge not in y:
+        raise ValidationError(f"bob output {edge} is not an edge of {y}")
+    if b2.length != inst.n:
+        raise ValidationError(
+            f"bob output {b2} has {b2.length} bits, expected {inst.n}"
+        )
+
+
 class PartialStrategy:
     """Total Alice table plus a Bob table that may skip some matchings.
 
@@ -83,13 +98,8 @@ class PartialStrategy:
                 raise ValidationError(f"alice input {x} has {x.length} bits, expected {m}")
             if a.length != n:
                 raise ValidationError(f"alice output {a} has {a.length} bits, expected {n}")
-        for y, (edge, b2) in bob.items():
-            if y.m != m:
-                raise ValidationError(f"bob input {y} covers {y.m} vertices, expected {m}")
-            if edge not in y:
-                raise ValidationError(f"bob output {edge} is not an edge of {y}")
-            if b2.length != n:
-                raise ValidationError(f"bob output {b2} has {b2.length} bits, expected {n}")
+        for y, entry in bob.items():
+            _check_bob_entry(y, entry, inst)
         self.m = m
         self.alice = dict(alice)
         self.bob = dict(bob)

@@ -1,5 +1,6 @@
 """Best responses, exhaustive optimum, completion, and hill climbing."""
 
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from matchgame.strategies import (
     success,
     verify_winning,
 )
+from matchgame.strategy_io import format_strategy
 
 
 def random_bob_table(inst, rng):
@@ -218,3 +220,77 @@ class TestHillClimb:
         assert len(history) >= 400
         assert all(wins < ratio.total for wins, _kind in history)
         assert ratio.wins < ratio.total
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _climb(m, seed, iterations, anchor_start=False):
+    def run(history):
+        inst = GameInstance(m)
+        start = complete_anchor_strategy(inst) if anchor_start else None
+        strategy, ratio = hill_climb(
+            inst, seed, iterations, start=start, history=history
+        )
+        return ratio, strategy
+
+    return run
+
+
+# Seeded search results recorded before the Bob table moved to entry-index
+# arrays: ratio, sha256 of the formatted strategy, sha256 of repr(history).
+_GOLDEN = {
+    "climb-m6-seed0": (
+        _climb(6, 0, 300),
+        "896/960",
+        "7933a490e60fc4c31f37ef6e3c994f900d7b6cee822e57db4e0f0acb99325260",
+        "f728e268659b1b970562ada6dc4617fb3fe6cc99263ad53b353c8bfc4990f3e7",
+    ),
+    "climb-m6-seed1": (
+        _climb(6, 1, 300),
+        "928/960",
+        "ce78c0fa3975c5a53f562e9f3b35a208375f39b471052c13315250e9f58e7853",
+        "58a34e7f708e99ce7fb597b5e1881e1e27bf67ed0b7f78d3a0469988f5157848",
+    ),
+    "climb-m6-seed2": (
+        _climb(6, 2, 300),
+        "864/960",
+        "8731460c90efa3cee8a1bc14ece29b1e8fa6e595bca97895d3bd50c09cd46289",
+        "311ef4101858ff2c3d56b3357ba0452e6cf66a39d01f4c762c748d29f29c2859",
+    ),
+    "climb-m8-seed0": (
+        _climb(8, 0, 200),
+        "17056/26880",
+        "cc5b16f6ef209058926575b13d86afe62a123f80d3e3fdcdf6e2ca788800bd3d",
+        "474d9b4583fb3f084be7d3859361942cb2c783ba2a5c1f66089ae6c6deb45f79",
+    ),
+    "climb-m8-seed1": (
+        _climb(8, 1, 200),
+        "16992/26880",
+        "e2abbd965b4f75c94045da23d83e79f50569e98fe52a6fa9ab8f204f04636500",
+        "fe63524cd2484a090fe9f7c9f72788480af7fba283c5db36004cc33d66b8ee35",
+    ),
+    "climb-m8-anchor-start": (
+        _climb(8, 0, 100, anchor_start=True),
+        "23808/26880",
+        "49027f4314fc1d8241c68c90c4c9a2b325b875e3c136e3efe28b109842980220",
+        "d549401f0fe990fd60ddf8547f6cf56617a3d8a6a3393d66658a40ef55567766",
+    ),
+    "omega-d-m4": (
+        lambda history: exact_optimum(GameInstance(4)),
+        "48/48",
+        "85dcbfae182d2e87fa639fe301469efb0c9ec39c9238b4b0a6dbc1f206cbae39",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_seeded_search_matches_golden(case):
+    run, ratio_text, strategy_sha, history_sha = _GOLDEN[case]
+    history = []
+    ratio, strategy = run(history)
+    assert str(ratio) == ratio_text
+    assert _sha256(format_strategy(strategy)) == strategy_sha
+    assert _sha256(repr(history)) == history_sha
