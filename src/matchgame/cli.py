@@ -19,7 +19,14 @@ from .errors import (
     UnsupportedGameError,
     ValidationError,
 )
-from .game import BitString, GameInstance, Question, wins_round
+from .game import (
+    BitString,
+    GameInstance,
+    Question,
+    _require_bits,
+    _require_vertices,
+    wins_round,
+)
 from .matchings import PerfectMatching, enumerate_matchings
 from .quantum import sample_round, verify_always_wins
 from .search import (
@@ -29,7 +36,6 @@ from .search import (
     hill_climb,
 )
 from .strategies import (
-    DeterministicStrategy,
     anchor_strategy,
     find_counterexample,
     known_winning_strategy,
@@ -41,15 +47,6 @@ from .strategy_io import format_strategy, parse_strategy
 def _read_strategy(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_strategy(text)
-
-
-def _read_total_strategy(path: str) -> DeterministicStrategy:
-    strategy = _read_strategy(path)
-    if not isinstance(strategy, DeterministicStrategy):
-        raise ValidationError(
-            "strategy file is partial; this command needs bob lines for every matching"
-        )
-    return strategy
 
 
 def _emit_strategy(strategy, out: str | None) -> None:
@@ -68,7 +65,7 @@ def _cmd_matchings(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    strategy = _read_total_strategy(args.strategy)
+    strategy = _read_strategy(args.strategy)
     ratio = success(strategy, GameInstance(strategy.m))
     print(f"success={ratio}")
     return 0
@@ -115,7 +112,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    strategy = _read_total_strategy(args.strategy)
+    strategy = _read_strategy(args.strategy)
     report = audit_strategy(strategy, GameInstance(strategy.m))
     print(f"class_size={report.output_class_size}")
     print(f"required_size={report.required_size}")
@@ -144,11 +141,9 @@ def _cmd_quantum_verify(args) -> int:
 def _cmd_quantum_sample(args) -> int:
     inst = GameInstance(args.m)
     x = BitString.parse(args.x)
-    if x.length != inst.m:
-        raise ValidationError(f"x has {x.length} bits, expected {inst.m}")
+    _require_bits(x, inst.m, "x")
     y = PerfectMatching.parse(args.y)
-    if y.m != inst.m:
-        raise ValidationError(f"matching covers {y.m} vertices, expected {inst.m}")
+    _require_vertices(y, inst.m)
     question = Question(x=x, y=y)
     for r in range(args.rounds):
         answer = sample_round(inst, x, y, args.seed + r)

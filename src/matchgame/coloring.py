@@ -24,6 +24,7 @@ from .errors import FormatError, ValidationError
 from .game import BitString, Edge, GameInstance
 from .matchings import PerfectMatching
 from .strategies import PartialStrategy, _require_total
+from .strategy_io import _tokens
 
 __all__ = [
     "Graph",
@@ -50,6 +51,11 @@ ParityFunction = Mapping[Edge, int]
 Coloring = Mapping[int, int]
 
 
+def _require_in_range(e: Edge, vertex_count: int) -> None:
+    if e.j >= vertex_count:
+        raise ValidationError(f"edge {e} out of range for {vertex_count} vertices")
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected graph on vertices 0..vertex_count-1."""
@@ -62,10 +68,7 @@ class Graph:
         if self.vertex_count < 1:
             raise ValidationError("graph needs at least one vertex")
         for e in self.edges:
-            if e.j >= self.vertex_count:
-                raise ValidationError(
-                    f"edge {e} out of range for {self.vertex_count} vertices"
-                )
+            _require_in_range(e, self.vertex_count)
 
     @classmethod
     def from_pairs(
@@ -80,37 +83,18 @@ class Graph:
         return sorted(self.edges, key=lambda e: (e.i, e.j))
 
 
-def _adjacency(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in g.sorted_edges():
-        adj[e.i].append(e.j)
-        adj[e.j].append(e.i)
-    return adj
-
-
 def components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, ordered by smallest member.
 
     Isolated vertices come out as singletons.
     """
-    adj = _adjacency(g)
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for start in range(g.vertex_count):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
-    return out
+    uf = _ParityUnionFind(g.vertex_count)
+    for e in g.edges:
+        uf.union(e.i, e.j, 0)
+    groups: dict[int, set[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(uf.find(v)[0], set()).add(v)
+    return [frozenset(c) for c in groups.values()]
 
 
 def distance(g: Graph, u: int, v: int) -> int | None:
@@ -122,7 +106,10 @@ def distance(g: Graph, u: int, v: int) -> int | None:
             )
     if u == v:
         return 0
-    adj = _adjacency(g)
+    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for e in g.sorted_edges():
+        adj[e.i].append(e.j)
+        adj[e.j].append(e.i)
     dist = {u: 0}
     queue = deque([u])
     while queue:
@@ -397,47 +384,41 @@ def parse_parity_graph(text: str) -> tuple[Graph, dict[Edge, int]]:
     vertex_count: int | None = None
     parities: dict[Edge, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = [(t.group(), t.start() + 1) for t in re.finditer(r"\S+", raw)]
+        tokens = _tokens(raw)
         if not tokens:
             continue
         word, col = tokens[0]
-        if word == "graph":
-            if vertex_count is not None:
-                raise FormatError("duplicate graph header", line_no, col)
-            if len(tokens) != 2:
-                raise FormatError("expected 'graph n=<count>'", line_no, col)
-            field, fcol = tokens[1]
-            match = re.fullmatch(r"n=(\d+)", field)
-            if not match or int(match.group(1)) < 1:
-                raise FormatError("expected n=<positive integer>", line_no, fcol)
-            vertex_count = int(match.group(1))
-        elif word == "edge":
-            if vertex_count is None:
-                raise FormatError(
-                    "graph file must start with 'graph n=<count>'", line_no, col
-                )
-            if len(tokens) != 3:
-                raise FormatError("expected 'edge i-j h=<0|1>'", line_no, col)
-            etok, ecol = tokens[1]
-            htok, hcol = tokens[2]
-            try:
+        try:
+            if word == "graph":
+                if vertex_count is not None:
+                    raise FormatError("duplicate graph header", line_no, col)
+                if len(tokens) != 2:
+                    raise FormatError("expected 'graph n=<count>'", line_no, col)
+                field, col = tokens[1]
+                match = re.fullmatch(r"n=(\d+)", field)
+                if not match or int(match.group(1)) < 1:
+                    raise FormatError("expected n=<positive integer>", line_no, col)
+                vertex_count = int(match.group(1))
+            elif word == "edge":
+                if vertex_count is None:
+                    raise FormatError(
+                        "graph file must start with 'graph n=<count>'", line_no, col
+                    )
+                if len(tokens) != 3:
+                    raise FormatError("expected 'edge i-j h=<0|1>'", line_no, col)
+                (etok, col), (htok, hcol) = tokens[1:]
                 edge = Edge.parse(etok)
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, ecol) from err
-            if edge.j >= vertex_count:
-                raise FormatError(
-                    f"edge {edge} out of range for {vertex_count} vertices",
-                    line_no,
-                    ecol,
-                )
-            match = re.fullmatch(r"h=([01])", htok)
-            if not match:
-                raise FormatError("expected h=<0|1>", line_no, hcol)
-            if edge in parities:
-                raise FormatError(f"duplicate edge {edge}", line_no, ecol)
-            parities[edge] = int(match.group(1))
-        else:
-            raise FormatError(f"unknown directive {word!r}", line_no, col)
+                _require_in_range(edge, vertex_count)
+                match = re.fullmatch(r"h=([01])", htok)
+                if not match:
+                    raise FormatError("expected h=<0|1>", line_no, hcol)
+                if edge in parities:
+                    raise FormatError(f"duplicate edge {edge}", line_no, col)
+                parities[edge] = int(match.group(1))
+            else:
+                raise FormatError(f"unknown directive {word!r}", line_no, col)
+        except ValidationError as err:
+            raise FormatError(str(err), line_no, col) from err
     if vertex_count is None:
         raise FormatError("empty graph file: missing 'graph' header", 1, 1)
     return Graph(vertex_count, frozenset(parities)), parities

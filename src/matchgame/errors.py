@@ -23,11 +23,21 @@ class FormatError(MatchGameError):
 
 
 class BudgetExceededError(MatchGameError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """Enumerating base**exponent items would exceed the configured budget.
 
-    def __init__(self, space_size: int, budget: int):
-        super().__init__(
-            f"search space of {space_size} tables exceeds budget {budget}"
-        )
-        self.space_size = space_size
+    The message writes the size as that power, adding its decimal value only
+    while it is short: a size of thousands of digits is never expanded.
+    """
+
+    def __init__(self, base: int, exponent: int, budget: int):
+        size = f"{base}**{exponent}"
+        if exponent * base.bit_length() <= 128:
+            size += f" = {base**exponent}"
+        super().__init__(f"search space of {size} tables exceeds budget {budget}")
+        self.base = base
+        self.exponent = exponent
         self.budget = budget
+
+    @property
+    def space_size(self) -> int:
+        return self.base**self.exponent

@@ -189,6 +189,17 @@ def dot(u: BitString, v: BitString) -> int:
     return (u.value & v.value).bit_count() & 1
 
 
+# Shape checks shared by every boundary that accepts bit strings or matchings.
+def _require_bits(s: BitString, length: int, what: str) -> None:
+    if s.length != length:
+        raise ValidationError(f"{what} has {s.length} bits, expected {length}")
+
+
+def _require_vertices(y: "PerfectMatching", m: int) -> None:
+    if y.m != m:
+        raise ValidationError(f"matching covers {y.m} vertices, expected {m}")
+
+
 def _edge_condition(m: int, x_value: int, i: int, j: int, ab_value: int) -> bool:
     """Parity equality for edge {i, j}, given a xor b2 as an integer.
 
@@ -206,15 +217,11 @@ def wins_round(inst: GameInstance, question: Question, answer: Answer) -> bool:
     The promise covers every (x, y) pair, so there is no vacuous-win clause.
     """
     x, y = question.x, question.y
-    if x.length != inst.m:
-        raise ValidationError(f"x has {x.length} bits, expected {inst.m}")
-    if y.m != inst.m:
-        raise ValidationError(f"matching covers {y.m} vertices, expected {inst.m}")
+    _require_bits(x, inst.m, "x")
+    _require_vertices(y, inst.m)
     a, b2, edge = answer.a, answer.b2, answer.edge
-    if a.length != inst.n:
-        raise ValidationError(f"a has {a.length} bits, expected {inst.n}")
-    if b2.length != inst.n:
-        raise ValidationError(f"b2 has {b2.length} bits, expected {inst.n}")
+    _require_bits(a, inst.n, "a")
+    _require_bits(b2, inst.n, "b2")
     if edge.j >= inst.m:
         raise ValidationError(f"edge {edge} out of range for m={inst.m}")
     if edge not in y:

@@ -17,6 +17,17 @@ __all__ = [
 ]
 
 
+def _owners(edges: Iterable[Edge]) -> dict[int, Edge]:
+    """Each covered vertex mapped to its edge; a vertex in two edges is an error."""
+    owner: dict[int, Edge] = {}
+    for e in edges:
+        if e.i in owner or e.j in owner:
+            v = e.i if e.i in owner else e.j
+            raise ValidationError(f"vertex {v} appears in both {owner[v]} and {e}")
+        owner[e.i] = owner[e.j] = e
+    return owner
+
+
 @dataclass(frozen=True, slots=True)
 class PerfectMatching:
     """Partition of {0..m-1} into m/2 unordered pairs.
@@ -32,12 +43,7 @@ class PerfectMatching:
         object.__setattr__(self, "edges", edges)
         if not edges:
             raise ValidationError("a matching needs at least one edge")
-        seen: set[int] = set()
-        for e in edges:
-            if e.i in seen or e.j in seen:
-                raise ValidationError(f"vertex reused across edges near {e}")
-            seen.add(e.i)
-            seen.add(e.j)
+        seen = _owners(edges).keys()
         m = 2 * len(edges)
         if seen != set(range(m)):
             missing = sorted(set(range(m)) - seen)
@@ -118,14 +124,7 @@ def validate_matching(
     for e in normalized:
         if e.j >= inst.m:
             raise ValidationError(f"vertex {e.j} out of range for m={inst.m}")
-    owner: dict[int, Edge] = {}
-    for e in normalized:
-        for v in e:
-            if v in owner:
-                raise ValidationError(
-                    f"vertex {v} appears in both {owner[v]} and {e}"
-                )
-            owner[v] = e
+    owner = _owners(normalized)
     missing = [v for v in range(inst.m) if v not in owner]
     if missing:
         raise ValidationError(f"matching leaves vertices unmatched: {missing}")

@@ -23,7 +23,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedGameError, ValidationError
-from .game import Answer, BitString, Edge, GameInstance, Question, wins_round
+from .game import (
+    Answer,
+    BitString,
+    Edge,
+    GameInstance,
+    Question,
+    _require_bits,
+    _require_vertices,
+    wins_round,
+)
 from .matchings import PerfectMatching, enumerate_matchings
 
 __all__ = [
@@ -118,7 +127,6 @@ def _hadamard(n: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
 def _matching_basis(y: PerfectMatching) -> tuple[np.ndarray, tuple[tuple[Edge, int], ...]]:
     """Rows of Bob's measurement basis plus (edge, sign bit) labels."""
     m = y.m
@@ -167,10 +175,8 @@ def joint_distribution(
     implemented so that the agreement can be asserted numerically.
     """
     m = _require_power_of_two(inst)
-    if x.length != m:
-        raise ValidationError(f"x has {x.length} bits, expected {m}")
-    if y.m != m:
-        raise ValidationError(f"matching covers {y.m} vertices, expected {m}")
+    _require_bits(x, m, "x")
+    _require_vertices(y, m)
     psi = _phased_state(inst, x)
     basis, meta = _matching_basis(y)
     hadamard = _hadamard(inst.n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .game import BitString, GameInstance
-from .matchings import PerfectMatching, enumerate_matchings
+from .matchings import PerfectMatching, enumerate_matchings, matching_count
 from .strategies import (
     BobEntry,
     DeterministicStrategy,
@@ -153,14 +153,16 @@ def exact_optimum(
     m/2 * 2^n) and best-responds with Alice; the witness is the first table
     attaining the maximum, i.e. the lexicographically smallest one.  Raises
     BudgetExceededError, reporting the space size, when the table count
-    exceeds the budget.
+    exceeds the budget; the size is compared in closed form, before any
+    table is built.
     """
+    choices, count = (inst.m // 2) << inst.n, matching_count(inst.m)
+    # choices >= 2, so a count beyond the budget's bit length already exceeds it
+    if count > budget.bit_length() or choices**count > budget:
+        raise BudgetExceededError(choices, count, budget)
     ctx = _context(inst.m)
-    space = ctx.choices ** len(ctx.matchings)
-    if space > budget:
-        raise BudgetExceededError(space, budget)
     best_wins, best_pick = -1, None
-    for combo in itertools.product(range(ctx.choices), repeat=len(ctx.matchings)):
+    for combo in itertools.product(range(choices), repeat=count):
         pick = np.array(combo, dtype=np.int64)
         wins, _ = ctx.evaluate(pick)
         if wins > best_wins:

@@ -13,7 +13,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import UnsupportedGameError, ValidationError
-from .game import BitString, Edge, GameInstance, _edge_condition
+from .game import (
+    BitString,
+    Edge,
+    GameInstance,
+    _edge_condition,
+    _require_bits,
+    _require_vertices,
+)
 from .matchings import PerfectMatching, enumerate_matchings, matching_count
 
 __all__ = [
@@ -57,19 +64,17 @@ class SuccessRatio:
         return f"{self.wins}/{self.total}"
 
 
+def _require_edge(edge: Edge, y: PerfectMatching) -> None:
+    if edge not in y:
+        raise ValidationError(f"bob output {edge} is not an edge of {y}")
+
+
 def _check_bob_entry(y: PerfectMatching, entry: BobEntry, inst: GameInstance) -> None:
     """Raise ValidationError unless ``entry`` is a legal answer of Bob's to y."""
     edge, b2 = entry
-    if y.m != inst.m:
-        raise ValidationError(
-            f"bob input {y} covers {y.m} vertices, expected {inst.m}"
-        )
-    if edge not in y:
-        raise ValidationError(f"bob output {edge} is not an edge of {y}")
-    if b2.length != inst.n:
-        raise ValidationError(
-            f"bob output {b2} has {b2.length} bits, expected {inst.n}"
-        )
+    _require_vertices(y, inst.m)
+    _require_edge(edge, y)
+    _require_bits(b2, inst.n, "b2")
 
 
 class PartialStrategy:
@@ -88,16 +93,13 @@ class PartialStrategy:
         bob: Mapping[PerfectMatching, BobEntry],
     ):
         inst = GameInstance(m)
-        n = inst.n
         if len(alice) != 1 << m:
             raise ValidationError(
                 f"alice table has {len(alice)} entries, needs {1 << m}"
             )
         for x, a in alice.items():
-            if x.length != m:
-                raise ValidationError(f"alice input {x} has {x.length} bits, expected {m}")
-            if a.length != n:
-                raise ValidationError(f"alice output {a} has {a.length} bits, expected {n}")
+            _require_bits(x, m, "alice input")
+            _require_bits(a, inst.n, "alice output")
         for y, entry in bob.items():
             _check_bob_entry(y, entry, inst)
         self.m = m
@@ -132,21 +134,24 @@ class DeterministicStrategy(PartialStrategy):
 
     def __init__(self, m, alice, bob):
         super().__init__(m, alice, bob)
-        expected = matching_count(m)
-        if len(self.bob) != expected:
+        if not self.is_total:
             raise ValidationError(
-                f"bob table covers {len(self.bob)} of {expected} matchings"
+                f"bob table covers {len(self.bob)} of {matching_count(m)} matchings"
             )
 
 
-def _require_total(strategy: PartialStrategy, inst: GameInstance) -> None:
+def _require_instance(strategy: PartialStrategy, inst: GameInstance) -> None:
     if strategy.m != inst.m:
         raise ValidationError(
             f"strategy is for m={strategy.m}, instance has m={inst.m}"
         )
+
+
+def _require_total(strategy: PartialStrategy, inst: GameInstance) -> None:
+    _require_instance(strategy, inst)
     if not strategy.is_total:
         raise ValidationError(
-            "operation needs a total strategy; this one leaves"
+            "operation needs a total strategy; this partial one leaves"
             f" {matching_count(inst.m) - len(strategy.bob)} matchings undefined"
         )
 
@@ -173,10 +178,7 @@ def find_counterexample(
     Canonical order: x ascending as a binary number, then matchings in
     enumeration order.  Questions where Bob is undefined are skipped.
     """
-    if strategy.m != inst.m:
-        raise ValidationError(
-            f"strategy is for m={strategy.m}, instance has m={inst.m}"
-        )
+    _require_instance(strategy, inst)
     m = inst.m
     plays = []
     for y in enumerate_matchings(inst):

@@ -15,9 +15,9 @@ from __future__ import annotations
 import re
 
 from .errors import FormatError, ValidationError
-from .game import BitString, Edge, GameInstance
+from .game import BitString, Edge, GameInstance, _require_bits, _require_vertices
 from .matchings import PerfectMatching, enumerate_matchings, matching_count
-from .strategies import DeterministicStrategy, PartialStrategy
+from .strategies import DeterministicStrategy, PartialStrategy, _require_edge
 
 __all__ = ["format_strategy", "parse_strategy"]
 
@@ -60,90 +60,59 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
         if not tokens:
             continue
         word, col = tokens[0]
-        if word == "game":
-            if inst is not None:
-                raise FormatError("duplicate game header", line_no, col)
-            _expect_count(tokens, 2, line_no, raw)
-            field, fcol = tokens[1]
-            match = re.fullmatch(r"m=(\d+)", field)
-            if not match:
-                raise FormatError("expected m=<even integer>", line_no, fcol)
-            try:
+        # Values go through the strategy types' own checks; col follows the
+        # field being read, so their errors point at it.
+        try:
+            if word == "game":
+                if inst is not None:
+                    raise FormatError("duplicate game header", line_no, col)
+                _expect_count(tokens, 2, line_no, raw)
+                field, col = tokens[1]
+                match = re.fullmatch(r"m=(\d+)", field)
+                if not match:
+                    raise FormatError("expected m=<even integer>", line_no, col)
                 inst = GameInstance(int(match.group(1)))
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, fcol) from err
-            continue
-        if inst is None:
-            raise FormatError(
-                "strategy file must start with 'game m=<m>'", line_no, col
-            )
-        if word == "alice":
-            _expect_count(tokens, 4, line_no, raw)
-            xtok, xcol = tokens[1]
-            arrow, acol = tokens[2]
-            atok, vcol = tokens[3]
-            if arrow != "->":
-                raise FormatError("expected '->'", line_no, acol)
-            try:
+            elif inst is None:
+                raise FormatError(
+                    "strategy file must start with 'game m=<m>'", line_no, col
+                )
+            elif word == "alice":
+                _expect_count(tokens, 4, line_no, raw)
+                (xtok, xcol), (arrow, acol), (atok, vcol) = tokens[1:]
+                if arrow != "->":
+                    raise FormatError("expected '->'", line_no, acol)
+                col = xcol
                 x = BitString.parse(xtok)
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, xcol) from err
-            try:
+                col = vcol
                 a = BitString.parse(atok)
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, vcol) from err
-            if x.length != inst.m:
-                raise FormatError(
-                    f"alice input has {x.length} bits, expected {inst.m}",
-                    line_no,
-                    xcol,
-                )
-            if a.length != inst.n:
-                raise FormatError(
-                    f"alice output has {a.length} bits, expected {inst.n}",
-                    line_no,
-                    vcol,
-                )
-            if x in alice:
-                raise FormatError(f"duplicate alice input {x}", line_no, xcol)
-            alice[x] = a
-        elif word == "bob":
-            _expect_count(tokens, 5, line_no, raw)
-            ytok, ycol = tokens[1]
-            arrow, acol = tokens[2]
-            etok, ecol = tokens[3]
-            btok, bcol = tokens[4]
-            if arrow != "->":
-                raise FormatError("expected '->'", line_no, acol)
-            try:
+                col = xcol
+                _require_bits(x, inst.m, "alice input")
+                col = vcol
+                _require_bits(a, inst.n, "alice output")
+                if x in alice:
+                    raise FormatError(f"duplicate alice input {x}", line_no, xcol)
+                alice[x] = a
+            elif word == "bob":
+                _expect_count(tokens, 5, line_no, raw)
+                (ytok, ycol), (arrow, acol), (etok, ecol), (btok, bcol) = tokens[1:]
+                if arrow != "->":
+                    raise FormatError("expected '->'", line_no, acol)
+                col = ycol
                 y = PerfectMatching.parse(ytok)
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, ycol) from err
-            if y.m != inst.m:
-                raise FormatError(
-                    f"matching covers {y.m} vertices, expected {inst.m}",
-                    line_no,
-                    ycol,
-                )
-            try:
+                _require_vertices(y, inst.m)
+                col = ecol
                 edge = Edge.parse(etok)
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, ecol) from err
-            if edge not in y:
-                raise FormatError(f"edge {edge} is not in {y}", line_no, ecol)
-            try:
+                _require_edge(edge, y)
+                col = bcol
                 b2 = BitString.parse(btok)
-            except ValidationError as err:
-                raise FormatError(str(err), line_no, bcol) from err
-            if b2.length != inst.n:
-                raise FormatError(
-                    f"b2 has {b2.length} bits, expected {inst.n}", line_no, bcol
-                )
-            if y in bob:
-                raise FormatError(f"duplicate bob input {y}", line_no, ycol)
-            bob[y] = (edge, b2)
-        else:
-            raise FormatError(f"unknown directive {word!r}", line_no, col)
+                _require_bits(b2, inst.n, "b2")
+                if y in bob:
+                    raise FormatError(f"duplicate bob input {y}", line_no, ycol)
+                bob[y] = (edge, b2)
+            else:
+                raise FormatError(f"unknown directive {word!r}", line_no, col)
+        except ValidationError as err:
+            raise FormatError(str(err), line_no, col) from err
     if inst is None:
         raise FormatError("empty strategy file: missing 'game' header", 1, 1)
     if len(alice) != 1 << inst.m:

@@ -1,10 +1,14 @@
 """Command line behavior: outputs, exit codes, pipes, diagnostics."""
 
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import matchgame
 from matchgame.game import GameInstance
 from matchgame.search import complete_anchor_strategy
 from matchgame.strategies import anchor_strategy, known_winning_strategy
@@ -109,6 +113,15 @@ def test_omega_d_budget_exceeded(run_cli):
     assert "504857282956046106624" in err
 
 
+@pytest.mark.parametrize("m", [12, 14, 16, 18])
+def test_omega_d_budget_checked_before_any_work(run_cli, m):
+    start = time.perf_counter()
+    code, out, err = run_cli(["omega-d", "--m", str(m)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert "**" in err and "=" not in err
+
+
 def test_omega_d_inline_strategy(run_cli):
     code, out, _ = run_cli(["omega-d", "--m", "2"])
     assert code == 0
@@ -178,6 +191,13 @@ def test_quantum_sample_validates_shapes(run_cli):
     assert "expected 4" in err
 
 
+@pytest.mark.parametrize("x,y", [("011", "0-1,2-3"), ("0110", "0-1")])
+def test_quantum_sample_validates_shapes_without_rounds(run_cli, x, y):
+    args = ["quantum", "sample", "--m", "4", "--x", x, "--y", y, "--seed", "0"]
+    code, out, _ = run_cli(args + ["--rounds", "0"])
+    assert (code, out) == (2, "")
+
+
 def test_malformed_strategy_file_diagnostics(run_cli, tmp_path):
     path = tmp_path / "bad.strat"
     path.write_text("game m=4\nalice 0000 -> 000\n")
@@ -197,10 +217,15 @@ def test_unknown_command_is_usage_error(run_cli):
 
 
 def test_console_entry_point_via_module():
+    # The child must import the same package, installed or not.
+    root = str(Path(matchgame.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "matchgame", "certificate", "--m", "8"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "excluded=true needed=5 possible=4\n"

@@ -66,6 +66,18 @@ class TestGraphBasics:
             frozenset({2, 3}),
         ]
 
+    def test_components_agree_with_reachability(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            g, _ = random_graph_and_parity(rng, max_vertices=7)
+            comps = components(g)
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+            label = {v: k for k, c in enumerate(comps) for v in c}
+            assert sorted(label) == list(range(g.vertex_count))
+            for u in range(g.vertex_count):
+                for v in range(g.vertex_count):
+                    assert (label[u] == label[v]) == (distance(g, u, v) is not None)
+
     def test_distance(self):
         g = graph(4, (0, 1), (1, 2))
         assert distance(g, 0, 0) == 0

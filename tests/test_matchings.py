@@ -84,7 +84,7 @@ def test_validate_matching_distinct_errors():
 
 
 def test_constructor_enforces_partition():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="appears in both"):
         PerfectMatching((Edge(0, 1), Edge(1, 2)))
     with pytest.raises(ValidationError):
         PerfectMatching((Edge(0, 1), Edge(4, 5)))

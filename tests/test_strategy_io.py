@@ -129,3 +129,20 @@ class TestDiagnostics:
     def test_bad_b2_width(self):
         err = err_for("game m=2\nbob 0-1 -> 0-1 00\n")
         assert (err.line, err.column) == (2, 16)
+
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            # edge not in the matching, and b2 too wide
+            ("game m=4\nbob 0-1,2-3 -> 0-2 000\n", 16),
+            # input and answer both too wide
+            ("game m=2\nalice 011 -> 000\n", 7),
+            # input too wide, answer not a bit string
+            ("game m=2\nalice 011 -> 0z\n", 14),
+            # matching too small, and edge not in it
+            ("game m=4\nbob 0-1 -> 0-2 00\n", 5),
+        ],
+    )
+    def test_first_fault_in_field_order_is_reported(self, text, column):
+        err = err_for(text)
+        assert (err.line, err.column) == (2, column)
