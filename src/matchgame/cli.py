@@ -139,6 +139,8 @@ def _cmd_quantum_verify(args) -> int:
 
 
 def _cmd_quantum_sample(args) -> int:
+    if args.rounds < 0:
+        raise ValidationError(f"--rounds must be non-negative, got {args.rounds}")
     inst = GameInstance(args.m)
     x = BitString.parse(args.x)
     _require_bits(x, inst.m, "x")

@@ -48,7 +48,7 @@ class _SearchContext:
 
     A Bob table is an int64 array ``pick`` over the canonical matchings:
     ``pick[k] = pos * 2^n + b2`` answers edge ``pos`` of matching k with b2.
-    It is scored only through that edge and the parity dot(i ^ j, b2).
+    It is scored only through the histogram of (edge, dot(i ^ j, b2)) pairs.
     """
 
     def __init__(self, inst: GameInstance):
@@ -64,36 +64,33 @@ class _SearchContext:
             [[edge_id[e.i, e.j] for e in y.edges] for y in self.matchings],
             dtype=np.int64,
         )
-        i, j = np.array(pairs, dtype=np.int64).T
+        # row or column r = 2e + u stands for edge e = pairs[r >> 1] and bit u
+        i, j = np.repeat(np.array(pairs, dtype=np.int64), 2, axis=0).T
+        r = np.arange(len(i), dtype=np.int64)
         xs = np.arange(1 << m, dtype=np.int64)[:, None]
-        # edge_parity_t[x, e] = x_i xor x_j
+        # side[x, r] = 1 when x_i xor x_j == u
         bits = ((xs >> (m - 1 - i)) ^ (xs >> (m - 1 - j))) & 1
-        self.edge_parity_t = bits.astype(np.int32)
-        # answer_parity[e, a] = dot(i xor j, a)
-        self.answer_parity = np.array(
-            [[((i ^ j) & a).bit_count() & 1 for a in range(1 << n)] for i, j in pairs],
-            dtype=np.int32,
-        )
+        self.side = (bits == (r & 1)).astype(np.int64)
+        # flip[r, a] = 2e + (u xor dot(i ^ j, a)), so flip[2e, b2] is the
+        # (edge, parity) slot of an answer with edge e and that b2
+        dots = [
+            [(d & a).bit_count() & 1 for a in range(1 << n)] for d in (i ^ j).tolist()
+        ]
+        self.flip = r[:, None] ^ np.array(dots, dtype=np.int64)
 
     def evaluate(self, pick: np.ndarray) -> tuple[int, np.ndarray]:
         """Best-response win count and per-x answer choice for one Bob table.
 
-        agree[x, a] counts matchings won when Alice answers a on input x;
-        with 0/1 entries p, r the identity [p == r] = 1 - p - r + 2pr turns
-        the count into one integer matmul.  Ties pick the smallest a.
+        The table counts only through counts[2e + p], the number of matchings
+        answered with edge e and parity p = dot(i ^ j, b2).  Alice's answer a
+        on x wins such a matching when x_i xor x_j == p xor dot(i ^ j, a), so
+        agree[x, a] = side[x] . counts[flip[:, a]].  Ties pick the smallest a.
         """
         n = self.inst.n
         edge = np.take_along_axis(self.edge_ids, (pick >> n)[:, None], axis=1)[:, 0]
-        parity = self.answer_parity[edge, pick & ((1 << n) - 1)]
-        # r[k, a] = dot(i ^ j, a ^ b2) for matching k's answer
-        r = self.answer_parity[edge] ^ parity[:, None]
-        p_t = self.edge_parity_t[:, edge]
-        agree = (
-            len(pick)
-            - p_t.sum(axis=1)[:, None]
-            - r.sum(axis=0)[None, :]
-            + 2 * (p_t @ r)
-        )
+        slot = self.flip[2 * edge, pick & ((1 << n) - 1)]
+        counts = np.bincount(slot, minlength=len(self.flip))
+        agree = self.side @ counts[self.flip]
         choice = agree.argmax(axis=1)
         wins = int(agree.max(axis=1).sum())
         return wins, choice
@@ -208,6 +205,8 @@ def hill_climb(
     appended for every evaluation, with kind one of "start", "restart",
     "accept", "reject".
     """
+    if iterations < 0:
+        raise ValidationError(f"iterations must be non-negative, got {iterations}")
     ctx = _context(inst.m)
     rng = random.Random(seed)
     size = len(ctx.matchings)

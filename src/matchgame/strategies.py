@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .errors import UnsupportedGameError, ValidationError
 from .game import (
     BitString,
@@ -160,13 +162,17 @@ def success(strategy: PartialStrategy, inst: GameInstance) -> SuccessRatio:
     """Exact number of won questions out of all 2^m * (m-1)!! of them."""
     _require_total(strategy, inst)
     m = inst.m
-    avals = [strategy.alice[BitString(xv, m)].value for xv in range(1 << m)]
+    xs = np.arange(1 << m, dtype=np.int64)
+    avals = np.array(
+        [strategy.alice[BitString(xv, m)].value for xv in range(1 << m)], dtype=np.int64
+    )
+    # parity[v] = popcount(v) mod 2 for every n-bit v
+    parity = np.array([v.bit_count() & 1 for v in range(1 << inst.n)], dtype=np.int64)
     wins = 0
     for edge, b2 in strategy.bob.values():
-        i, j, b2v = edge.i, edge.j, b2.value
-        for xv in range(1 << m):
-            if _edge_condition(m, xv, i, j, avals[xv] ^ b2v):
-                wins += 1
+        i, j = edge.i, edge.j
+        lhs = ((xs >> (m - 1 - i)) ^ (xs >> (m - 1 - j))) & 1
+        wins += int(np.count_nonzero(lhs == parity[(i ^ j) & (avals ^ b2.value)]))
     return SuccessRatio(wins, (1 << m) * matching_count(m))
 
 

@@ -141,6 +141,29 @@ def test_search_labels_lower_bound(run_cli, tmp_path):
     assert out_path.read_text() == first
 
 
+_NEGATIVE_COUNTS = {
+    "iters": ["search", "--m", "4", "--seed", "0", "--iters", "-5"],
+    "rounds": [
+        "quantum", "sample", "--m", "2", "--x", "01", "--y", "0-1",
+        "--seed", "0", "--rounds", "-2",
+    ],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_NEGATIVE_COUNTS))
+def test_negative_counts_rejected(run_cli, flag):
+    args = _NEGATIVE_COUNTS[flag]
+    code, out, err = run_cli(args)
+    assert (code, out) == (2, "")
+    assert "non-negative" in err
+    code, out, _ = run_cli(args[:-1] + ["0"])
+    assert code == 0
+    if flag == "iters":
+        assert out.splitlines()[:2] == ["best=40/48", "bound=lower"]
+    else:
+        assert out == ""
+
+
 def test_audit_output(run_cli):
     table = format_strategy(known_winning_strategy(4))
     code, out, _ = run_cli(["audit"], stdin_text=table)

@@ -43,14 +43,16 @@ def random_alice_table(inst, rng):
 class TestAliceBestResponse:
     def test_matches_exact_recount(self):
         # The fast evaluation and the round-by-round success count are two
-        # independent routes to the same number.
-        inst = GameInstance(4)
-        rng = random.Random(5)
-        for _ in range(20):
-            bob = random_bob_table(inst, rng)
-            alice, ratio = alice_best_response(bob, inst)
-            recount = success(DeterministicStrategy(inst.m, alice, bob), inst)
-            assert (ratio.wins, ratio.total) == (recount.wins, recount.total)
+        # independent routes to the same number.  From m = 6 on, an edge lies
+        # in several matchings, so the (edge, parity) counts exceed 1.
+        for m in (4, 6, 8):
+            inst = GameInstance(m)
+            rng = random.Random(5)
+            for _ in range(20):
+                bob = random_bob_table(inst, rng)
+                alice, ratio = alice_best_response(bob, inst)
+                recount = success(DeterministicStrategy(inst.m, alice, bob), inst)
+                assert (ratio.wins, ratio.total) == (recount.wins, recount.total)
 
     def test_never_worse_than_any_fixed_alice(self):
         inst = GameInstance(4)
@@ -62,25 +64,23 @@ class TestAliceBestResponse:
             assert success(fixed, inst).wins <= best.wins
 
     def test_per_input_choice_is_smallest_argmax(self):
-        inst = GameInstance(4)
-        rng = random.Random(7)
-        for _ in range(5):
-            bob = random_bob_table(inst, rng)
-            alice, _ = alice_best_response(bob, inst)
-            plays = [(y.edges.index(e), e, b2) for y, (e, b2) in bob.items()]
-            for xv in range(1 << inst.m):
-                x = BitString(xv, inst.m)
-                counts = []
-                for av in range(1 << inst.n):
-                    a = BitString(av, inst.n)
-                    wins = 0
-                    for _, e, b2 in plays:
-                        lhs = x[e.i] ^ x[e.j]
-                        rhs = ((e.i ^ e.j) & (av ^ b2.value)).bit_count() & 1
-                        wins += lhs == rhs
-                    counts.append(wins)
-                best = max(counts)
-                assert alice[x].value == counts.index(best)
+        for m in (4, 6):
+            inst = GameInstance(m)
+            rng = random.Random(7)
+            for _ in range(5):
+                bob = random_bob_table(inst, rng)
+                alice, _ = alice_best_response(bob, inst)
+                for xv in range(1 << inst.m):
+                    x = BitString(xv, inst.m)
+                    counts = []
+                    for av in range(1 << inst.n):
+                        wins = 0
+                        for e, b2 in bob.values():
+                            lhs = x[e.i] ^ x[e.j]
+                            rhs = ((e.i ^ e.j) & (av ^ b2.value)).bit_count() & 1
+                            wins += lhs == rhs
+                        counts.append(wins)
+                    assert alice[x].value == counts.index(max(counts))
 
     def test_recovers_winning_alice_for_winning_bob(self):
         inst = GameInstance(4)
@@ -175,6 +175,10 @@ class TestHillClimb:
             _, ratio = hill_climb(GameInstance(2), seed=seed, iterations=5)
             assert ratio.value == 1
 
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            hill_climb(GameInstance(4), seed=0, iterations=-1)
+
     def test_m4_reaches_optimum_with_restarts(self):
         for seed in range(10):
             strategy, ratio = hill_climb(GameInstance(4), seed=seed, iterations=512)
@@ -239,7 +243,9 @@ def _climb(m, seed, iterations, anchor_start=False):
 
 
 # Seeded search results recorded before the Bob table moved to entry-index
-# arrays: ratio, sha256 of the formatted strategy, sha256 of repr(history).
+# arrays (the m = 10 and m = 12 climbs: before scoring moved to the (edge,
+# parity) histogram): ratio, sha256 of the formatted strategy, sha256 of
+# repr(history).
 _GOLDEN = {
     "climb-m6-seed0": (
         _climb(6, 0, 300),
@@ -270,6 +276,18 @@ _GOLDEN = {
         "16992/26880",
         "e2abbd965b4f75c94045da23d83e79f50569e98fe52a6fa9ab8f204f04636500",
         "fe63524cd2484a090fe9f7c9f72788480af7fba283c5db36004cc33d66b8ee35",
+    ),
+    "climb-m10-seed0": (
+        _climb(10, 0, 40),
+        "513280/967680",
+        "153cfe1ed2098808229d2dcc3da0641f2b8dbb83dca1e60880df8ffcc620c9ae",
+        "958036d270029a25034a1c45159824fbe5c2b6cbfc11fc542303718ad01e0288",
+    ),
+    "climb-m12-seed0": (
+        _climb(12, 0, 2),
+        "21617600/42577920",
+        "02c4c24d26090fa4831c11a918171170b6de87e77af2706cfbfde43072de00e5",
+        "875cc00b01642d1a288871eb2fa988ca18bfcd9b76e8d71394f78c667a2d14cd",
     ),
     "climb-m8-anchor-start": (
         _climb(8, 0, 100, anchor_start=True),
