@@ -28,7 +28,7 @@ from .game import (
     wins_round,
 )
 from .matchings import PerfectMatching, enumerate_matchings
-from .quantum import sample_round, verify_always_wins
+from .quantum import _require_power_of_two, sample_round, verify_always_wins
 from .search import (
     DEFAULT_BUDGET,
     complete_anchor_strategy,
@@ -142,6 +142,7 @@ def _cmd_quantum_sample(args) -> int:
     if args.rounds < 0:
         raise ValidationError(f"--rounds must be non-negative, got {args.rounds}")
     inst = GameInstance(args.m)
+    _require_power_of_two(inst)
     x = BitString.parse(args.x)
     _require_bits(x, inst.m, "x")
     y = PerfectMatching.parse(args.y)

@@ -20,8 +20,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import FormatError, ValidationError
-from .game import BitString, Edge, GameInstance
+from .game import BitString, Edge, GameInstance, _pair_parity
 from .matchings import PerfectMatching
 from .strategies import PartialStrategy, _require_total
 from .strategy_io import _tokens
@@ -253,24 +255,17 @@ def audit_strategy(strategy: PartialStrategy, inst: GameInstance) -> StrategyAud
     """
     _require_total(strategy, inst)
     m, n = inst.m, inst.n
-    classes: dict[int, list[int]] = {}
-    for x, a in strategy.alice.items():
-        classes.setdefault(a.value, []).append(x.value)
-    # Largest class; ties broken toward the smallest answer so the audit is
-    # deterministic.
-    best_a = max(classes, key=lambda av: (len(classes[av]), -av))
-    chosen = classes[best_a]
+    avals = np.array([strategy.alice[BitString(xv, m)].value for xv in range(1 << m)])
+    # Largest class; argmax breaks ties toward the smallest answer so the
+    # audit is deterministic.
+    xs = np.flatnonzero(avals == np.bincount(avals).argmax())
     graph = bob_edge_graph(strategy, inst)
-    consistent = True
-    for e in graph.sorted_edges():
-        si, sj = m - 1 - e.i, m - 1 - e.j
-        first = ((chosen[0] >> si) ^ (chosen[0] >> sj)) & 1
-        if any((((xv >> si) ^ (xv >> sj)) & 1) != first for xv in chosen[1:]):
-            consistent = False
-            break
+    consistent = all(
+        len(np.unique(_pair_parity(xs, m, e.i, e.j))) == 1 for e in graph.sorted_edges()
+    )
     max_comp = max(len(c) for c in components(graph))
     return StrategyAudit(
-        output_class_size=len(chosen),
+        output_class_size=len(xs),
         required_size=(1 << m) >> n,
         max_component_size=max_comp,
         parity_consistent=consistent,

@@ -200,14 +200,9 @@ def _require_vertices(y: "PerfectMatching", m: int) -> None:
         raise ValidationError(f"matching covers {y.m} vertices, expected {m}")
 
 
-def _edge_condition(m: int, x_value: int, i: int, j: int, ab_value: int) -> bool:
-    """Parity equality for edge {i, j}, given a xor b2 as an integer.
-
-    Callers guarantee 0 <= i, j < m.  Index k of the zero-padded binary form
-    of k is k itself, so enc(i) xor enc(j) is just i ^ j.
-    """
-    lhs = ((x_value >> (m - 1 - i)) ^ (x_value >> (m - 1 - j))) & 1
-    return lhs == (((i ^ j) & ab_value).bit_count() & 1)
+def _pair_parity(x, m: int, i, j):
+    """x_i xor x_j of m-bit x, an int or int array: x_k is bit m-1-k of x."""
+    return ((x >> (m - 1 - i)) ^ (x >> (m - 1 - j))) & 1
 
 
 def wins_round(inst: GameInstance, question: Question, answer: Answer) -> bool:
@@ -226,4 +221,6 @@ def wins_round(inst: GameInstance, question: Question, answer: Answer) -> bool:
         raise ValidationError(f"edge {edge} out of range for m={inst.m}")
     if edge not in y:
         return False
-    return _edge_condition(inst.m, x.value, edge.i, edge.j, a.value ^ b2.value)
+    # enc(k) is k itself as an n-bit value, so enc(i) xor enc(j) is i ^ j
+    d = (edge.i ^ edge.j) & (a.value ^ b2.value)
+    return _pair_parity(x.value, inst.m, edge.i, edge.j) == d.bit_count() & 1

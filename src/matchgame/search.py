@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .game import BitString, GameInstance
+from .game import BitString, GameInstance, _pair_parity
 from .matchings import PerfectMatching, enumerate_matchings, matching_count
 from .strategies import (
     BobEntry,
@@ -69,14 +69,11 @@ class _SearchContext:
         r = np.arange(len(i), dtype=np.int64)
         xs = np.arange(1 << m, dtype=np.int64)[:, None]
         # side[x, r] = 1 when x_i xor x_j == u
-        bits = ((xs >> (m - 1 - i)) ^ (xs >> (m - 1 - j))) & 1
-        self.side = (bits == (r & 1)).astype(np.int64)
+        self.side = (_pair_parity(xs, m, i, j) == (r & 1)).astype(np.int64)
         # flip[r, a] = 2e + (u xor dot(i ^ j, a)), so flip[2e, b2] is the
         # (edge, parity) slot of an answer with edge e and that b2
-        dots = [
-            [(d & a).bit_count() & 1 for a in range(1 << n)] for d in (i ^ j).tolist()
-        ]
-        self.flip = r[:, None] ^ np.array(dots, dtype=np.int64)
+        parity = np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=np.int64)
+        self.flip = r[:, None] ^ parity[(i ^ j)[:, None] & np.arange(1 << n)]
 
     def evaluate(self, pick: np.ndarray) -> tuple[int, np.ndarray]:
         """Best-response win count and per-x answer choice for one Bob table.

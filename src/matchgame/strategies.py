@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .game import (
     BitString,
     Edge,
     GameInstance,
-    _edge_condition,
+    _pair_parity,
     _require_bits,
     _require_vertices,
 )
@@ -158,22 +158,34 @@ def _require_total(strategy: PartialStrategy, inst: GameInstance) -> None:
         )
 
 
-def success(strategy: PartialStrategy, inst: GameInstance) -> SuccessRatio:
-    """Exact number of won questions out of all 2^m * (m-1)!! of them."""
-    _require_total(strategy, inst)
+def _won_by_answer(
+    strategy: PartialStrategy, inst: GameInstance
+) -> Iterator[tuple[list[PerfectMatching], np.ndarray]]:
+    """Bob's table grouped by answer: (matchings, won) per distinct (edge, b2).
+
+    ``won[x]``, over x ascending, says whether that answer wins (x, y) for
+    each listed y: x_i xor x_j == dot(i ^ j, a xor b2), with a = alice[x].
+    """
     m = inst.m
+    groups: dict[BobEntry, list[PerfectMatching]] = {}
+    for y, entry in strategy.bob.items():
+        groups.setdefault(entry, []).append(y)
     xs = np.arange(1 << m, dtype=np.int64)
     avals = np.array(
         [strategy.alice[BitString(xv, m)].value for xv in range(1 << m)], dtype=np.int64
     )
     # parity[v] = popcount(v) mod 2 for every n-bit v
     parity = np.array([v.bit_count() & 1 for v in range(1 << inst.n)], dtype=np.int64)
-    wins = 0
-    for edge, b2 in strategy.bob.values():
-        i, j = edge.i, edge.j
-        lhs = ((xs >> (m - 1 - i)) ^ (xs >> (m - 1 - j))) & 1
-        wins += int(np.count_nonzero(lhs == parity[(i ^ j) & (avals ^ b2.value)]))
-    return SuccessRatio(wins, (1 << m) * matching_count(m))
+    for ((i, j), b2), ys in groups.items():
+        yield ys, _pair_parity(xs, m, i, j) == parity[(i ^ j) & (avals ^ b2.value)]
+
+
+def success(strategy: PartialStrategy, inst: GameInstance) -> SuccessRatio:
+    """Exact number of won questions out of all 2^m * (m-1)!! of them."""
+    _require_total(strategy, inst)
+    groups = _won_by_answer(strategy, inst)
+    wins = sum(len(ys) * np.count_nonzero(won) for ys, won in groups)
+    return SuccessRatio(wins, (1 << inst.m) * matching_count(inst.m))
 
 
 def find_counterexample(
@@ -181,23 +193,22 @@ def find_counterexample(
 ) -> tuple[BitString, PerfectMatching] | None:
     """First losing question in canonical order, or None.
 
-    Canonical order: x ascending as a binary number, then matchings in
-    enumeration order.  Questions where Bob is undefined are skipped.
+    Canonical order is x ascending, then matchings in enumeration order,
+    which is lexicographic on edge sequences: the smallest first losing x
+    over Bob's answers, tied toward the lexicographically smallest matching.
+    Questions where Bob is undefined are skipped.
     """
     _require_instance(strategy, inst)
-    m = inst.m
-    plays = []
-    for y in enumerate_matchings(inst):
-        entry = strategy.bob.get(y)
-        if entry is not None:
-            edge, b2 = entry
-            plays.append((y, edge.i, edge.j, b2.value))
-    for xv in range(1 << m):
-        av = strategy.alice[BitString(xv, m)].value
-        for y, i, j, b2v in plays:
-            if not _edge_condition(m, xv, i, j, av ^ b2v):
-                return BitString(xv, m), y
-    return None
+    losses = [
+        (int(won.argmin()), [(e.i, e.j) for e in y], y)
+        for ys, won in _won_by_answer(strategy, inst)
+        if not won.all()
+        for y in ys
+    ]
+    if not losses:
+        return None
+    xv, _, y = min(losses, key=lambda loss: loss[:2])
+    return BitString(xv, inst.m), y
 
 
 def verify_winning(strategy: PartialStrategy, inst: GameInstance) -> bool:
@@ -219,14 +230,12 @@ def anchor_strategy(inst: GameInstance) -> PartialStrategy:
     all-zero b2.  Every question on which Bob is defined is won.
     """
     m, n = inst.m, inst.n
-    powers = [1 << k for k in range(n - 1, -1, -1)]
-    alice: dict[BitString, BitString] = {}
-    for xv in range(1 << m):
-        bit0 = (xv >> (m - 1)) & 1
-        a = 0
-        for p in powers:
-            a = (a << 1) | (bit0 ^ ((xv >> (m - 1 - p)) & 1))
-        alice[BitString(xv, m)] = BitString(a, n)
+    xs = np.arange(1 << m, dtype=np.int64)
+    # bit k of a, counted from the least significant end, is x_0 xor x_{2^k}
+    answers = sum(_pair_parity(xs, m, 0, 1 << k) << k for k in range(n))
+    alice = {
+        BitString(xv, m): BitString(a, n) for xv, a in enumerate(answers.tolist())
+    }
     anchors = anchor_indices(inst)
     zero = BitString(0, n)
     bob: dict[PerfectMatching, BobEntry] = {}

@@ -76,6 +76,12 @@ def test_verify_reports_first_counterexample(run_cli):
     code, out, _ = run_cli(["verify"], stdin_text="\n".join(lines) + "\n")
     assert code == 1
     assert out == "winning=no counterexample=x:0001 y:0-3,1-2\n"
+    _, table, _ = run_cli(["lemma1", "--m", "10", "--complete"])
+    code, out, _ = run_cli(["verify"], stdin_text=table)
+    assert (code, out) == (
+        1,
+        "winning=no counterexample=x:0000000001 y:0-9,1-3,2-5,4-6,7-8\n",
+    )
 
 
 def test_verify_accepts_partial_strategy(run_cli):
@@ -83,6 +89,8 @@ def test_verify_accepts_partial_strategy(run_cli):
     code, out, _ = run_cli(["verify"], stdin_text=partial)
     assert code == 0
     assert out == "winning=yes\n"
+    _, table, _ = run_cli(["lemma1", "--m", "10"])
+    assert run_cli(["verify"], stdin_text=table)[:2] == (0, "winning=yes\n")
 
 
 def test_lemma1_complete_round_trip(run_cli):
@@ -214,9 +222,17 @@ def test_quantum_sample_validates_shapes(run_cli):
     assert "expected 4" in err
 
 
-@pytest.mark.parametrize("x,y", [("011", "0-1,2-3"), ("0110", "0-1")])
-def test_quantum_sample_validates_shapes_without_rounds(run_cli, x, y):
-    args = ["quantum", "sample", "--m", "4", "--x", x, "--y", y, "--seed", "0"]
+@pytest.mark.parametrize(
+    "m,x,y",
+    [
+        pytest.param("4", "011", "0-1,2-3", id="011-0-1,2-3"),
+        pytest.param("4", "0110", "0-1", id="0110-0-1"),
+        # well-formed, but the entangled strategy needs m a power of two
+        pytest.param("6", "011010", "0-1,2-3,4-5", id="m6"),
+    ],
+)
+def test_quantum_sample_validates_shapes_without_rounds(run_cli, m, x, y):
+    args = ["quantum", "sample", "--m", m, "--x", x, "--y", y, "--seed", "0"]
     code, out, _ = run_cli(args + ["--rounds", "0"])
     assert (code, out) == (2, "")
 

@@ -239,6 +239,18 @@ class TestAuditStrategy:
         assert report.output_class_size == 16
         assert not report.parity_consistent
 
+    def test_one_inconsistent_edge_breaks_parity(self):
+        # Answering 0-3 on one matching adds the only Bob edge whose parity
+        # varies on the class Alice answers 000; the other six stay constant.
+        known = known_winning_strategy(6)
+        y = PerfectMatching.parse("0-3,1-2,4-5")
+        bob = {**known.bob, y: (Edge(0, 3), known.bob[y][1])}
+        s = DeterministicStrategy(6, known.alice, bob)
+        report = audit_strategy(s, GameInstance(6))
+        assert report.output_class_size == 8
+        assert report.max_component_size == 5
+        assert not report.parity_consistent
+
     def test_every_winning_strategy_passes_all_three_conditions(self):
         # Winning forces the three audit conditions; checked across a family
         # of winning strategies of different origins at m = 2, 4, 6.

@@ -1,5 +1,6 @@
 """Strategy tables, their exact success, and the anchor construction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,39 @@ def hand_strategy_m2(alice_rule, b2_bit):
     alice = {BitString(v, 2): BitString(alice_rule(v >> 1, v & 1), 1) for v in range(4)}
     bob = {PerfectMatching.parse("0-1"): (Edge(0, 1), BitString(b2_bit, 1))}
     return DeterministicStrategy(2, alice, bob)
+
+
+def perturbed_strategies(defined):
+    """Known winning tables at m = 4 and 6 with some answers redrawn.
+
+    Each copy redraws one to three of Alice's answers and, for odd seeds,
+    about a third of Bob's (b2 zero half the time), so answers repeat across
+    matchings and first losses fall at many x.  Bob defines each matching
+    with probability ``defined``; his dict is built once in canonical order
+    and once shuffled.
+    """
+    for m in (4, 6):
+        known = known_winning_strategy(m)
+        n = GameInstance(m).n
+        for seed in range(20):
+            rng = random.Random(seed)
+            alice = dict(known.alice)
+            for _ in range(1 + seed % 3):
+                alice[BitString(rng.randrange(1 << m), m)] = BitString(
+                    rng.randrange(1 << n), n
+                )
+            bob = []
+            for y, entry in known.bob.items():
+                if rng.random() >= defined:
+                    continue
+                if rng.random() < seed % 2 / 3:
+                    b2 = rng.choice((0, rng.randrange(1 << n)))
+                    entry = (rng.choice(y.edges), BitString(b2, n))
+                bob.append((y, entry))
+            bob.sort(key=lambda item: [(e.i, e.j) for e in item[0]])
+            yield PartialStrategy(m, alice, dict(bob))
+            rng.shuffle(bob)
+            yield PartialStrategy(m, alice, dict(bob))
 
 
 class TestSuccessRatio:
@@ -66,6 +100,9 @@ class TestKnownWinningStrategies:
         inst = GameInstance(4)
         s = known_winning_strategy(4)
         assert success(s, inst).wins == brute_success_count(s, inst)
+        for s in perturbed_strategies(defined=1.0):
+            inst = GameInstance(s.m)
+            assert success(s, inst).wins == brute_success_count(s, inst)
 
     def test_table_entries(self):
         s4 = known_winning_strategy(4)
@@ -238,6 +275,12 @@ class TestVerifyAndCounterexamples:
         assert found == brute_first_losing_question(s, inst)
         x, y = found
         assert (str(x), str(y)) == ("0001", "0-3,1-2")
+        for defined in (1.0, 0.5):
+            for s in perturbed_strategies(defined):
+                inst = GameInstance(s.m)
+                assert find_counterexample(s, inst) == brute_first_losing_question(
+                    s, inst
+                )
 
     def test_winning_strategy_has_no_counterexample(self):
         inst = GameInstance(4)
