@@ -2,8 +2,9 @@
 
 Every subcommand reads files or standard input and writes line-oriented
 text, so runs are reproducible and diff-friendly.  Exit codes: 0 success or
-property verified, 1 property fails, 2 usage or format error, 3 search
-budget exceeded.
+property verified, 1 property fails, 2 usage or format error, 3 budget
+exceeded: a command whose size, computed in closed form before any work,
+is over its budget.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .game import (
     _require_vertices,
     wins_round,
 )
-from .matchings import PerfectMatching, enumerate_matchings
+from .matchings import PerfectMatching, enumerate_matchings, matching_count
 from .quantum import _require_power_of_two, sample_round, verify_always_wins
 from .search import (
     DEFAULT_BUDGET,
@@ -57,8 +58,25 @@ def _emit_strategy(strategy, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_budget(size: int, formula: str, items: str) -> None:
+    """Refuse a command that would handle more than DEFAULT_BUDGET items.
+
+    Called with the size in closed form, before any work starts.
+    """
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            size, 1, DEFAULT_BUDGET, what=f"{{}} {items}", formula=formula
+        )
+
+
+def _require_strategy_budget(m: int) -> None:
+    """Bound a command that builds an Alice table and a total Bob table."""
+    _require_budget((1 << m) + matching_count(m), f"2**{m} + {m - 1}!!", "table entries")
+
+
 def _cmd_matchings(args) -> int:
     inst = GameInstance(args.m)
+    _require_budget(matching_count(inst.m), f"{inst.m - 1}!!", "matchings")
     for y in enumerate_matchings(inst):
         print(y)
     return 0
@@ -84,6 +102,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lemma1(args) -> int:
     inst = GameInstance(args.m)
+    _require_strategy_budget(inst.m)
     strategy = complete_anchor_strategy(inst) if args.complete else anchor_strategy(inst)
     _emit_strategy(strategy, None)
     return 0
@@ -104,6 +123,7 @@ def _cmd_omega_d(args) -> int:
 
 def _cmd_search(args) -> int:
     inst = GameInstance(args.m)
+    _require_strategy_budget(inst.m)
     strategy, ratio = hill_climb(inst, args.seed, args.iters)
     print(f"best={ratio}")
     print("bound=lower")
@@ -133,7 +153,11 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_quantum_verify(args) -> int:
-    ok = verify_always_wins(GameInstance(args.m))
+    inst = GameInstance(args.m)
+    m = _require_power_of_two(inst)
+    questions = (1 << m) * matching_count(m)
+    _require_budget(questions, f"2**{m} * {m - 1}!!", "questions")
+    ok = verify_always_wins(inst)
     print(f"verified={'yes' if ok else 'no'}")
     return 0 if ok else 1
 

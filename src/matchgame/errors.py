@@ -23,17 +23,26 @@ class FormatError(MatchGameError):
 
 
 class BudgetExceededError(MatchGameError):
-    """Enumerating base**exponent items would exceed the configured budget.
+    """Handling base**exponent items would exceed the configured budget.
 
-    The message writes the size as that power, adding its decimal value only
-    while it is short: a size of thousands of digits is never expanded.
+    The message writes the size as that power, or as ``formula`` when the
+    size has another closed form, adding its decimal value only while it is
+    short: a size of thousands of digits is never expanded.  ``what`` names
+    the items around the size.
     """
 
-    def __init__(self, base: int, exponent: int, budget: int):
-        size = f"{base}**{exponent}"
+    def __init__(
+        self,
+        base: int,
+        exponent: int,
+        budget: int,
+        what: str = "search space of {} tables",
+        formula: str = "",
+    ):
+        size = formula or f"{base}**{exponent}"
         if exponent * base.bit_length() <= 128:
             size += f" = {base**exponent}"
-        super().__init__(f"search space of {size} tables exceeds budget {budget}")
+        super().__init__(f"{what.format(size)} exceeds budget {budget}")
         self.base = base
         self.exponent = exponent
         self.budget = budget

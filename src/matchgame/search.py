@@ -49,6 +49,16 @@ class _SearchContext:
     A Bob table is an int64 array ``pick`` over the canonical matchings:
     ``pick[k] = pos * 2^n + b2`` answers edge ``pos`` of matching k with b2.
     It is scored only through the histogram of (edge, dot(i ^ j, b2)) pairs.
+
+    Win counts are read from one input per symmetry orbit.  The map
+    x -> x ^ l_c ^ k*1^m, with l_c(i) = dot(i, c), shifts every x_i xor x_j
+    by dot(i ^ j, c), so agree[x', a] = agree[x, a ^ c]: the 2^(n+1) inputs
+    of an orbit have the same best count.  Each orbit holds exactly one input
+    with x_0 = 0 and x_{2^k} = 0 for every k < n, so the win count is
+    2^(n+1) times the sum of the best counts over those R = 2^(m-n-1)
+    representatives.  The best answer itself is not shared: the smallest
+    argmax of x need not map to the smallest argmax of x', so Alice's
+    tie-broken choice is computed on all 2^m inputs, and only in strategy().
     """
 
     def __init__(self, inst: GameInstance):
@@ -70,27 +80,35 @@ class _SearchContext:
         xs = np.arange(1 << m, dtype=np.int64)[:, None]
         # side[x, r] = 1 when x_i xor x_j == u
         self.side = (_pair_parity(xs, m, i, j) == (r & 1)).astype(np.int64)
+        # the orbit representatives: x_0 = 0 and x_{2^k} = 0 for every k < n
+        fixed = sum(1 << (m - 1 - p) for p in {0, *(1 << k for k in range(n))})
+        self.reps = np.flatnonzero((xs[:, 0] & fixed) == 0)
+        self.rep_side = self.side[self.reps]
+        self.orbit = 1 << (n + 1)
         # flip[r, a] = 2e + (u xor dot(i ^ j, a)), so flip[2e, b2] is the
         # (edge, parity) slot of an answer with edge e and that b2
         parity = np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=np.int64)
         self.flip = r[:, None] ^ parity[(i ^ j)[:, None] & np.arange(1 << n)]
+        self.inputs = [BitString(v, m) for v in range(1 << m)]
+        self.answers = [BitString(v, n) for v in range(1 << n)]
 
-    def evaluate(self, pick: np.ndarray) -> tuple[int, np.ndarray]:
-        """Best-response win count and per-x answer choice for one Bob table.
+    def _agree(self, side: np.ndarray, pick: np.ndarray) -> np.ndarray:
+        """agree[x, a]: matchings of Bob table ``pick`` that answer a wins on x.
 
         The table counts only through counts[2e + p], the number of matchings
         answered with edge e and parity p = dot(i ^ j, b2).  Alice's answer a
         on x wins such a matching when x_i xor x_j == p xor dot(i ^ j, a), so
-        agree[x, a] = side[x] . counts[flip[:, a]].  Ties pick the smallest a.
+        agree[x, a] = side[x] . counts[flip[:, a]], for the rows x of ``side``.
         """
         n = self.inst.n
         edge = np.take_along_axis(self.edge_ids, (pick >> n)[:, None], axis=1)[:, 0]
         slot = self.flip[2 * edge, pick & ((1 << n) - 1)]
         counts = np.bincount(slot, minlength=len(self.flip))
-        agree = self.side @ counts[self.flip]
-        choice = agree.argmax(axis=1)
-        wins = int(agree.max(axis=1).sum())
-        return wins, choice
+        return side @ counts[self.flip]
+
+    def wins(self, pick: np.ndarray) -> int:
+        """Best-response win count of Bob table ``pick``, over the representatives."""
+        return self.orbit * int(self._agree(self.rep_side, pick).max(axis=1).sum())
 
     def pick_from_bob(self, bob: Mapping[PerfectMatching, BobEntry]) -> np.ndarray:
         if len(bob) != len(self.matchings):
@@ -108,17 +126,20 @@ class _SearchContext:
         return pick
 
     def strategy(self, pick: np.ndarray) -> tuple[DeterministicStrategy, int]:
-        """Bob table ``pick`` with Alice best-responding, and its win count."""
-        m, n = self.inst.m, self.inst.n
-        wins, choice = self.evaluate(pick)
-        alice = {
-            BitString(xv, m): BitString(a, n) for xv, a in enumerate(choice.tolist())
-        }
+        """Bob table ``pick`` with Alice best-responding, and its win count.
+
+        Every input is scored here, and ties go to the smallest answer.
+        """
+        n = self.inst.n
+        agree = self._agree(self.side, pick)
+        choice = agree.argmax(axis=1).tolist()
+        alice = dict(zip(self.inputs, map(self.answers.__getitem__, choice)))
         bob = {
-            y: (y.edges[p >> n], BitString(p & ((1 << n) - 1), n))
+            y: (y.edges[p >> n], self.answers[p & ((1 << n) - 1)])
             for y, p in zip(self.matchings, pick.tolist())
         }
-        return DeterministicStrategy(m, alice, bob), wins
+        wins = int(agree.max(axis=1).sum())
+        return DeterministicStrategy(self.inst.m, alice, bob), wins
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +179,7 @@ def exact_optimum(
     best_wins, best_pick = -1, None
     for combo in itertools.product(range(choices), repeat=count):
         pick = np.array(combo, dtype=np.int64)
-        wins, _ = ctx.evaluate(pick)
+        wins = ctx.wins(pick)
         if wins > best_wins:
             best_wins, best_pick = wins, pick
             if wins == ctx.total:
@@ -217,7 +238,7 @@ def hill_climb(
             history.append((wins, kind))
 
     current = ctx.pick_from_bob(start.bob) if start is not None else random_pick()
-    cur_wins, _ = ctx.evaluate(current)
+    cur_wins = ctx.wins(current)
     note(cur_wins, "start")
     best_wins, best_pick = cur_wins, current
     for it in range(iterations):
@@ -225,7 +246,7 @@ def hill_climb(
             break
         if it and it % _RESTART_EVERY == 0:
             current = random_pick()
-            cur_wins, _ = ctx.evaluate(current)
+            cur_wins = ctx.wins(current)
             note(cur_wins, "restart")
         else:
             k = rng.randrange(size)
@@ -234,7 +255,7 @@ def hill_climb(
                 alt = rng.randrange(ctx.choices)
             candidate = current.copy()
             candidate[k] = alt
-            wins, _ = ctx.evaluate(candidate)
+            wins = ctx.wins(candidate)
             if wins > cur_wins:
                 note(wins, "accept")
                 current, cur_wins = candidate, wins

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchgame
+from matchgame.cli import main
 from matchgame.game import GameInstance
 from matchgame.search import complete_anchor_strategy
 from matchgame.strategies import anchor_strategy, known_winning_strategy
@@ -128,6 +129,48 @@ def test_omega_d_budget_checked_before_any_work(run_cli, m):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (3, "")
     assert "**" in err and "=" not in err
+
+
+@pytest.mark.parametrize(
+    "args, size",
+    [
+        (["matchings", "--m", "20"], "19!! = 654729075 matchings"),
+        (["lemma1", "--m", "24"], "2**24 + 23!! = 316250920441 table entries"),
+        (["search", "--m", "16", "--seed", "0", "--iters", "1"], "2**16 + 15!! = 2092561"),
+        (["quantum", "verify", "--m", "16"], "2**16 * 15!! = 132843110400 questions"),
+    ],
+    ids=["matchings", "lemma1", "search", "quantum-verify"],
+)
+def test_oversized_command_refused_before_any_work(run_cli, args, size):
+    start = time.perf_counter()
+    code, out, err = run_cli(args)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert f"error: {size}" in err and "exceeds budget 2000000" in err
+
+
+class _ReachedWork(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "args, work",
+    [
+        (["matchings", "--m", "14"], "enumerate_matchings"),
+        (["lemma1", "--m", "14"], "anchor_strategy"),
+        (["search", "--m", "14", "--seed", "0", "--iters", "1"], "hill_climb"),
+        (["quantum", "verify", "--m", "8"], "verify_always_wins"),
+    ],
+    ids=["matchings", "lemma1", "search", "quantum-verify"],
+)
+def test_largest_size_within_budget_reaches_its_work(monkeypatch, args, work):
+    # The work is replaced by a stub, so only the budget check runs for real.
+    def reached(*_args, **_kwargs):
+        raise _ReachedWork
+
+    monkeypatch.setattr(f"matchgame.cli.{work}", reached)
+    with pytest.raises(_ReachedWork):
+        main(args)
 
 
 def test_omega_d_inline_strategy(run_cli):

@@ -3,12 +3,14 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from matchgame.errors import BudgetExceededError, ValidationError
 from matchgame.game import BitString, GameInstance
 from matchgame.matchings import enumerate_matchings, matching_count
 from matchgame.search import (
+    _context,
     alice_best_response,
     complete_anchor_strategy,
     exact_optimum,
@@ -129,6 +131,46 @@ class TestExactOptimum:
             exact_optimum(GameInstance(4), budget=100)
         ratio, _ = exact_optimum(GameInstance(4), budget=512)
         assert ratio.wins == 48
+
+
+class TestOrbitScoring:
+    """The win count read from one input per orbit equals the full count."""
+
+    def test_representatives_meet_every_orbit_once(self):
+        # Applying all 2^(n+1) maps x -> x ^ l_c ^ k*1^m to the representatives
+        # must reach each of the 2^m inputs exactly once.
+        for m in (2, 4, 6, 8, 10):
+            ctx = _context(m)
+            n = ctx.inst.n
+            reps = ctx.reps
+            assert len(reps) == 1 << (m - n - 1)
+            assert (ctx.rep_side == ctx.side[reps]).all()
+            assert ctx.orbit == 1 << (n + 1)
+            images = []
+            for c in range(1 << n):
+                shift = sum(
+                    ((i & c).bit_count() & 1) << (m - 1 - i) for i in range(m)
+                )
+                for k in (0, (1 << m) - 1):
+                    images.extend((reps ^ shift ^ k).tolist())
+            assert sorted(images) == list(range(1 << m))
+
+    def test_reduced_count_equals_full_count_and_recount(self):
+        for m in (2, 4, 6, 8, 10):
+            inst = GameInstance(m)
+            ctx = _context(m)
+            rng = random.Random(m)
+            size = len(ctx.matchings)
+            picks = [
+                np.zeros(size, dtype=np.int64),
+                np.full(size, ctx.choices - 1, dtype=np.int64),
+            ] + [
+                np.array([rng.randrange(ctx.choices) for _ in range(size)], dtype=np.int64)
+                for _ in range(4)
+            ]
+            for pick in picks:
+                strategy, full = ctx.strategy(pick)
+                assert ctx.wins(pick) == full == success(strategy, inst).wins
 
 
 class TestCompleteAnchorStrategy:
