@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .coloring import audit_strategy, impossibility_certificate
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     FormatError,
     UnsupportedGameError,
@@ -28,14 +29,9 @@ from .game import (
     _require_vertices,
     wins_round,
 )
-from .matchings import PerfectMatching, enumerate_matchings, matching_count
+from .matchings import PerfectMatching, enumerate_matchings
 from .quantum import _require_power_of_two, sample_round, verify_always_wins
-from .search import (
-    DEFAULT_BUDGET,
-    complete_anchor_strategy,
-    exact_optimum,
-    hill_climb,
-)
+from .search import complete_anchor_strategy, exact_optimum, hill_climb
 from .strategies import (
     anchor_strategy,
     find_counterexample,
@@ -58,26 +54,8 @@ def _emit_strategy(strategy, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_budget(size: int, formula: str, items: str) -> None:
-    """Refuse a command that would handle more than DEFAULT_BUDGET items.
-
-    Called with the size in closed form, before any work starts.
-    """
-    if size > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            size, 1, DEFAULT_BUDGET, what=f"{{}} {items}", formula=formula
-        )
-
-
-def _require_strategy_budget(m: int) -> None:
-    """Bound a command that builds an Alice table and a total Bob table."""
-    _require_budget((1 << m) + matching_count(m), f"2**{m} + {m - 1}!!", "table entries")
-
-
 def _cmd_matchings(args) -> int:
-    inst = GameInstance(args.m)
-    _require_budget(matching_count(inst.m), f"{inst.m - 1}!!", "matchings")
-    for y in enumerate_matchings(inst):
+    for y in enumerate_matchings(GameInstance(args.m)):
         print(y)
     return 0
 
@@ -102,7 +80,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lemma1(args) -> int:
     inst = GameInstance(args.m)
-    _require_strategy_budget(inst.m)
     strategy = complete_anchor_strategy(inst) if args.complete else anchor_strategy(inst)
     _emit_strategy(strategy, None)
     return 0
@@ -122,9 +99,7 @@ def _cmd_omega_d(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    inst = GameInstance(args.m)
-    _require_strategy_budget(inst.m)
-    strategy, ratio = hill_climb(inst, args.seed, args.iters)
+    strategy, ratio = hill_climb(GameInstance(args.m), args.seed, args.iters)
     print(f"best={ratio}")
     print("bound=lower")
     _emit_strategy(strategy, args.out)
@@ -153,11 +128,7 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_quantum_verify(args) -> int:
-    inst = GameInstance(args.m)
-    m = _require_power_of_two(inst)
-    questions = (1 << m) * matching_count(m)
-    _require_budget(questions, f"2**{m} * {m - 1}!!", "questions")
-    ok = verify_always_wins(inst)
+    ok = verify_always_wins(GameInstance(args.m))
     print(f"verified={'yes' if ok else 'no'}")
     return 0 if ok else 1
 

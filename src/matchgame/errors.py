@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget rule."""
+
+from typing import Iterable
+
+DEFAULT_BUDGET = 2_000_000
+# Closed-form sizes are exact below SIZE_CAP and saturate there, so a size
+# check costs a bounded number of bigint operations at any m.
+SIZE_CAP = 1 << 128
 
 
 class MatchGameError(Exception):
@@ -23,30 +30,31 @@ class FormatError(MatchGameError):
 
 
 class BudgetExceededError(MatchGameError):
-    """Handling base**exponent items would exceed the configured budget.
+    """Handling ``size`` items would exceed ``budget``.
 
-    The message writes the size as that power, or as ``formula`` when the
-    size has another closed form, adding its decimal value only while it is
-    short: a size of thousands of digits is never expanded.  ``what`` names
-    the items around the size.
+    The message writes the size as ``formula``, inside the ``what`` template,
+    adding its decimal value only below SIZE_CAP: a size of thousands of
+    digits is never expanded.  ``space_size`` is None at the cap.
     """
 
-    def __init__(
-        self,
-        base: int,
-        exponent: int,
-        budget: int,
-        what: str = "search space of {} tables",
-        formula: str = "",
-    ):
-        size = formula or f"{base}**{exponent}"
-        if exponent * base.bit_length() <= 128:
-            size += f" = {base**exponent}"
-        super().__init__(f"{what.format(size)} exceeds budget {budget}")
-        self.base = base
-        self.exponent = exponent
+    def __init__(self, size: int, budget: int, formula: str, what: str):
+        self.space_size = size if size < SIZE_CAP else None
+        exact = "" if self.space_size is None else f" = {size}"
+        super().__init__(f"{what.format(formula + exact)} exceeds budget {budget}")
         self.budget = budget
 
-    @property
-    def space_size(self) -> int:
-        return self.base**self.exponent
+
+def bounded_product(factors: Iterable[int]) -> int:
+    """The product of the positive ``factors``, stopping at SIZE_CAP."""
+    product = 1
+    for factor in factors:
+        product *= factor
+        if product >= SIZE_CAP:
+            return SIZE_CAP
+    return product
+
+
+def require_budget(size: int, formula: str, what: str, budget=DEFAULT_BUDGET) -> None:
+    """Raise BudgetExceededError when ``size`` is over ``budget`` or at SIZE_CAP."""
+    if size >= SIZE_CAP or size > budget:
+        raise BudgetExceededError(size, budget, formula, what)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ValidationError
+from .errors import ValidationError, bounded_product, require_budget
 from .game import Edge, GameInstance
 
 __all__ = [
@@ -78,6 +79,7 @@ def enumerate_matchings(inst: GameInstance) -> list[PerfectMatching]:
     unmatched partner in increasing order, recursively; the edge sequences
     come out lexicographically sorted.  The list has (m-1)!! entries.
     """
+    require_budget(_bounded_count(inst.m), f"{inst.m - 1}!!", "{} matchings")
     out: list[PerfectMatching] = []
     acc: list[Edge] = []
 
@@ -93,6 +95,11 @@ def enumerate_matchings(inst: GameInstance) -> list[PerfectMatching]:
 
     extend(tuple(range(inst.m)))
     return out
+
+
+def _canonical_key(y: PerfectMatching) -> tuple[tuple[int, int], ...]:
+    """Sort key of the canonical order: the edge sequence as (i, j) pairs."""
+    return tuple((e.i, e.j) for e in y.edges)
 
 
 def contains_edge(y: PerfectMatching, edge: Edge | tuple[int, int]) -> bool:
@@ -133,7 +140,9 @@ def validate_matching(
 
 def matching_count(m: int) -> int:
     """(m-1)!!, the number of perfect matchings on m points, without enumerating."""
-    count = 1
-    for k in range(m - 1, 0, -2):
-        count *= k
-    return count
+    return math.prod(range(m - 1, 0, -2))
+
+
+def _bounded_count(m: int) -> int:
+    """(m-1)!!, stopping at the size cap."""
+    return bounded_product(range(m - 1, 0, -2))

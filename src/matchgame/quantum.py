@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedGameError, ValidationError
+from .errors import UnsupportedGameError, ValidationError, bounded_product, require_budget
 from .game import (
     Answer,
     BitString,
@@ -33,7 +33,7 @@ from .game import (
     _require_vertices,
     wins_round,
 )
-from .matchings import PerfectMatching, enumerate_matchings
+from .matchings import PerfectMatching, _bounded_count, enumerate_matchings
 
 __all__ = [
     "StateVector",
@@ -111,6 +111,7 @@ def _require_power_of_two(inst: GameInstance) -> int:
 def shared_state(inst: GameInstance) -> StateVector:
     """The shared state: amplitude 1/sqrt(m) on each |i>|i>, 0 elsewhere."""
     m = _require_power_of_two(inst)
+    require_budget(bounded_product((m, m)), f"{m}*{m}", "{} amplitudes")
     amps = np.zeros((m, m), dtype=np.complex128)
     np.fill_diagonal(amps, 1.0 / math.sqrt(m))
     return StateVector(amps)
@@ -231,6 +232,9 @@ def sample_round(
 def verify_always_wins(inst: GameInstance) -> bool:
     """Exhaustively check that every supported outcome wins every question."""
     m = _require_power_of_two(inst)
+    inputs = bounded_product(2 for _ in range(m))
+    questions = bounded_product((inputs, _bounded_count(m)))
+    require_budget(questions, f"2**{m} * {m - 1}!!", "{} questions")
     matchings = enumerate_matchings(inst)
     for xv in range(1 << m):
         x = BitString(xv, m)

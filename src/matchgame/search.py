@@ -19,15 +19,23 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import (
+    DEFAULT_BUDGET,
+    SIZE_CAP,
+    ValidationError,
+    bounded_product,
+    require_budget,
+)
 from .game import BitString, GameInstance, _pair_parity
-from .matchings import PerfectMatching, enumerate_matchings, matching_count
+from .matchings import PerfectMatching, _bounded_count, enumerate_matchings
 from .strategies import (
     BobEntry,
     DeterministicStrategy,
     PartialStrategy,
     SuccessRatio,
     _check_bob_entry,
+    _require_table_budget,
+    anchor_indices,
     anchor_strategy,
 )
 
@@ -39,7 +47,6 @@ __all__ = [
     "hill_climb",
 ]
 
-DEFAULT_BUDGET = 2_000_000
 _RESTART_EVERY = 64
 
 
@@ -62,6 +69,7 @@ class _SearchContext:
     """
 
     def __init__(self, inst: GameInstance):
+        _require_table_budget(inst)
         m, n = inst.m, inst.n
         self.inst = inst
         self.matchings = enumerate_matchings(inst)
@@ -81,7 +89,7 @@ class _SearchContext:
         # side[x, r] = 1 when x_i xor x_j == u
         self.side = (_pair_parity(xs, m, i, j) == (r & 1)).astype(np.int64)
         # the orbit representatives: x_0 = 0 and x_{2^k} = 0 for every k < n
-        fixed = sum(1 << (m - 1 - p) for p in {0, *(1 << k for k in range(n))})
+        fixed = sum(1 << (m - 1 - p) for p in anchor_indices(inst))
         self.reps = np.flatnonzero((xs[:, 0] & fixed) == 0)
         self.rep_side = self.side[self.reps]
         self.orbit = 1 << (n + 1)
@@ -171,10 +179,10 @@ def exact_optimum(
     exceeds the budget; the size is compared in closed form, before any
     table is built.
     """
-    choices, count = (inst.m // 2) << inst.n, matching_count(inst.m)
-    # choices >= 2, so a count beyond the budget's bit length already exceeds it
-    if count > budget.bit_length() or choices**count > budget:
-        raise BudgetExceededError(choices, count, budget)
+    choices, count = (inst.m // 2) << inst.n, _bounded_count(inst.m)
+    exponent = count if count < SIZE_CAP else f"{inst.m - 1}!!"
+    space = bounded_product(choices for _ in range(count))
+    require_budget(space, f"{choices}**{exponent}", "search space of {} tables", budget)
     ctx = _context(inst.m)
     best_wins, best_pick = -1, None
     for combo in itertools.product(range(choices), repeat=count):
@@ -223,9 +231,9 @@ def hill_climb(
     appended for every evaluation, with kind one of "start", "restart",
     "accept", "reject".
     """
+    ctx = _context(inst.m)
     if iterations < 0:
         raise ValidationError(f"iterations must be non-negative, got {iterations}")
-    ctx = _context(inst.m)
     rng = random.Random(seed)
     size = len(ctx.matchings)
 

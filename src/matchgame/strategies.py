@@ -14,7 +14,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import UnsupportedGameError, ValidationError
+from .errors import UnsupportedGameError, ValidationError, bounded_product, require_budget
 from .game import (
     BitString,
     Edge,
@@ -23,7 +23,13 @@ from .game import (
     _require_bits,
     _require_vertices,
 )
-from .matchings import PerfectMatching, enumerate_matchings, matching_count
+from .matchings import (
+    PerfectMatching,
+    _bounded_count,
+    _canonical_key,
+    enumerate_matchings,
+    matching_count,
+)
 
 __all__ = [
     "BobEntry",
@@ -200,7 +206,7 @@ def find_counterexample(
     """
     _require_instance(strategy, inst)
     losses = [
-        (int(won.argmin()), [(e.i, e.j) for e in y], y)
+        (int(won.argmin()), _canonical_key(y), y)
         for ys, won in _won_by_answer(strategy, inst)
         if not won.all()
         for y in ys
@@ -221,6 +227,13 @@ def anchor_indices(inst: GameInstance) -> frozenset[int]:
     return frozenset({0} | {1 << k for k in range(inst.n)})
 
 
+def _require_table_budget(inst: GameInstance) -> None:
+    """Bound a build of an Alice table and a total Bob table."""
+    m = inst.m
+    entries = bounded_product(2 for _ in range(m)) + _bounded_count(m)
+    require_budget(entries, f"2**{m} + {m - 1}!!", "{} table entries")
+
+
 def anchor_strategy(inst: GameInstance) -> PartialStrategy:
     """Partial strategy that wins whenever Bob's matching pairs two anchors.
 
@@ -229,6 +242,7 @@ def anchor_strategy(inst: GameInstance) -> PartialStrategy:
     anchor indices, returning the first such pair in edge order with an
     all-zero b2.  Every question on which Bob is defined is won.
     """
+    _require_table_budget(inst)
     m, n = inst.m, inst.n
     xs = np.arange(1 << m, dtype=np.int64)
     # bit k of a, counted from the least significant end, is x_0 xor x_{2^k}

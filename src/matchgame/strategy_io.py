@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import re
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, bounded_product, require_budget
 from .game import BitString, Edge, GameInstance, _require_bits, _require_vertices
-from .matchings import PerfectMatching, enumerate_matchings, matching_count
+from .matchings import PerfectMatching, _canonical_key, matching_count
 from .strategies import DeterministicStrategy, PartialStrategy, _require_edge
 
 __all__ = ["format_strategy", "parse_strategy"]
@@ -30,11 +30,8 @@ def format_strategy(strategy: PartialStrategy) -> str:
     for xv in range(1 << strategy.m):
         x = BitString(xv, strategy.m)
         lines.append(f"alice {x} -> {strategy.alice[x]}")
-    for y in enumerate_matchings(GameInstance(strategy.m)):
-        entry = strategy.bob.get(y)
-        if entry is not None:
-            edge, b2 = entry
-            lines.append(f"bob {y} -> {edge} {b2}")
+    bob = sorted(strategy.bob.items(), key=lambda kv: _canonical_key(kv[0]))
+    lines += (f"bob {y} -> {edge} {b2}" for y, (edge, b2) in bob)
     return "\n".join(lines) + "\n"
 
 
@@ -72,6 +69,8 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
                 if not match:
                     raise FormatError("expected m=<even integer>", line_no, col)
                 inst = GameInstance(int(match.group(1)))
+                alice_lines = bounded_product(2 for _ in range(inst.m))
+                require_budget(alice_lines, f"2**{inst.m}", "{} alice lines")
             elif inst is None:
                 raise FormatError(
                     "strategy file must start with 'game m=<m>'", line_no, col

@@ -138,8 +138,29 @@ def test_omega_d_budget_checked_before_any_work(run_cli, m):
         (["lemma1", "--m", "24"], "2**24 + 23!! = 316250920441 table entries"),
         (["search", "--m", "16", "--seed", "0", "--iters", "1"], "2**16 + 15!! = 2092561"),
         (["quantum", "verify", "--m", "16"], "2**16 * 15!! = 132843110400 questions"),
+        (
+            ["quantum", "sample", "--m", "2048", "--x", "0" * 2048,
+             "--y", ",".join(f"{k}-{k + 1}" for k in range(0, 2048, 2)),
+             "--seed", "0", "--rounds", "1"],
+            "2048*2048 = 4194304 amplitudes",
+        ),
+        (["omega-d", "--m", "3000"], "search space of 6144000**2999!! tables"),
+        # sizes past 2**128, which are written without their decimal value
+        (["matchings", "--m", "600000"], "599999!! matchings"),
+        (["lemma1", "--m", "600000"], "2**600000 + 599999!! table entries"),
+        (["lemma1", "--m", "600000", "--complete"], "2**600000 + 599999!! table entries"),
+        (
+            ["search", "--m", "600000", "--seed", "0", "--iters", "1"],
+            "2**600000 + 599999!! table entries",
+        ),
+        (["omega-d", "--m", "600000"], "search space of 314572800000**599999!! tables"),
+        (["quantum", "verify", "--m", str(1 << 19)], "2**524288 * 524287!! questions"),
     ],
-    ids=["matchings", "lemma1", "search", "quantum-verify"],
+    ids=[
+        "matchings", "lemma1", "search", "quantum-verify", "quantum-sample", "omega-d",
+        "matchings-huge", "lemma1-huge", "lemma1-complete-huge", "search-huge",
+        "omega-d-huge", "quantum-verify-huge",
+    ],
 )
 def test_oversized_command_refused_before_any_work(run_cli, args, size):
     start = time.perf_counter()
@@ -147,6 +168,13 @@ def test_oversized_command_refused_before_any_work(run_cli, args, size):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (3, "")
     assert f"error: {size}" in err and "exceeds budget 2000000" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "audit"])
+def test_strategy_file_sized_from_its_header(run_cli, command):
+    code, out, err = run_cli([command], stdin_text="game m=20000\n")
+    assert (code, out) == (3, "")
+    assert err == "error: 2**20000 alice lines exceeds budget 2000000\n"
 
 
 class _ReachedWork(Exception):

@@ -1,9 +1,12 @@
 """Strategy file format: round trips and positioned parse errors."""
 
+import time
+
 import pytest
 
-from matchgame.errors import FormatError
-from matchgame.game import GameInstance
+from matchgame.errors import BudgetExceededError, FormatError
+from matchgame.game import BitString, GameInstance
+from matchgame.matchings import PerfectMatching
 from matchgame.strategies import (
     DeterministicStrategy,
     PartialStrategy,
@@ -36,6 +39,25 @@ class TestRoundTrip:
         assert not isinstance(parsed, DeterministicStrategy)
         assert parsed == s
         assert format_strategy(parsed) == text
+
+    def test_partial_strategy_past_the_matching_budget_is_written(self):
+        # 15!! matchings exceed the budget of enumerate_matchings; writing
+        # a strategy costs its own size, with Bob's lines in canonical order
+        canonical = [
+            "0-1,2-3,4-5,6-7,8-9,10-11,12-13,14-15",
+            "0-2,1-3,4-5,6-7,8-9,10-11,12-13,14-15",
+            "0-15,1-14,2-13,3-12,4-11,5-10,6-9,7-8",
+        ]
+        ys = [PerfectMatching.parse(t) for t in canonical]
+        bob = {y: (y.edges[-1], BitString(1, 4)) for y in reversed(ys)}
+        alice = {BitString(v, 16): BitString(v & 15, 4) for v in range(1 << 16)}
+        s = PartialStrategy(16, alice, bob)
+        start = time.perf_counter()
+        text = format_strategy(s)
+        assert time.perf_counter() - start < 2
+        lines = text.splitlines()
+        assert len(lines) == 1 + (1 << 16) + 3
+        assert lines[-3:] == [f"bob {t} -> {y.edges[-1]} 0001" for t, y in zip(canonical, ys)]
 
     def test_blank_lines_ignored_and_order_free(self):
         s = known_winning_strategy(4)
@@ -125,6 +147,12 @@ class TestDiagnostics:
         err = err_for(text)
         assert err.line == 3
         assert "1 of 4" in str(err)
+
+    def test_header_sizes_the_alice_table(self):
+        with pytest.raises(BudgetExceededError) as exc:
+            parse_strategy("game m=22\n")
+        assert str(exc.value) == "2**22 = 4194304 alice lines exceeds budget 2000000"
+        assert "cover 0 of 1048576 inputs" in str(err_for("game m=20\n"))
 
     def test_bad_b2_width(self):
         err = err_for("game m=2\nbob 0-1 -> 0-1 00\n")
