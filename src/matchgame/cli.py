@@ -10,6 +10,7 @@ is over its budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -159,6 +160,7 @@ def _add_strategy_arg(parser) -> None:
     )
 
 
+@functools.cache  # built on first use; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchgame",

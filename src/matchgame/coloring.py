@@ -22,11 +22,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, field_error
 from .game import BitString, Edge, GameInstance, _pair_parity
 from .matchings import PerfectMatching
 from .strategies import PartialStrategy, _require_total
-from .strategy_io import _tokens
 
 __all__ = [
     "Graph",
@@ -379,41 +378,40 @@ def parse_parity_graph(text: str) -> tuple[Graph, dict[Edge, int]]:
     vertex_count: int | None = None
     parities: dict[Edge, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokens(raw)
-        if not tokens:
+        fields = raw.split()
+        if not fields:
             continue
-        word, col = tokens[0]
+        word = fields[0]
         try:
             if word == "graph":
                 if vertex_count is not None:
-                    raise FormatError("duplicate graph header", line_no, col)
-                if len(tokens) != 2:
-                    raise FormatError("expected 'graph n=<count>'", line_no, col)
-                field, col = tokens[1]
-                match = re.fullmatch(r"n=(\d+)", field)
+                    raise field_error("duplicate graph header", line_no, raw, 0)
+                if len(fields) != 2:
+                    raise field_error("expected 'graph n=<count>'", line_no, raw, 0)
+                match = re.fullmatch(r"n=(\d+)", fields[1])
                 if not match or int(match.group(1)) < 1:
-                    raise FormatError("expected n=<positive integer>", line_no, col)
+                    raise field_error("expected n=<positive integer>", line_no, raw, 1)
                 vertex_count = int(match.group(1))
             elif word == "edge":
                 if vertex_count is None:
-                    raise FormatError(
-                        "graph file must start with 'graph n=<count>'", line_no, col
-                    )
-                if len(tokens) != 3:
-                    raise FormatError("expected 'edge i-j h=<0|1>'", line_no, col)
-                (etok, col), (htok, hcol) = tokens[1:]
+                    message = "graph file must start with 'graph n=<count>'"
+                    raise field_error(message, line_no, raw, 0)
+                if len(fields) != 3:
+                    raise field_error("expected 'edge i-j h=<0|1>'", line_no, raw, 0)
+                _, etok, htok = fields
                 edge = Edge.parse(etok)
                 _require_in_range(edge, vertex_count)
                 match = re.fullmatch(r"h=([01])", htok)
                 if not match:
-                    raise FormatError("expected h=<0|1>", line_no, hcol)
+                    raise field_error("expected h=<0|1>", line_no, raw, 2)
                 if edge in parities:
-                    raise FormatError(f"duplicate edge {edge}", line_no, col)
+                    raise field_error(f"duplicate edge {edge}", line_no, raw, 1)
                 parities[edge] = int(match.group(1))
             else:
-                raise FormatError(f"unknown directive {word!r}", line_no, col)
+                raise field_error(f"unknown directive {word!r}", line_no, raw, 0)
         except ValidationError as err:
-            raise FormatError(str(err), line_no, col) from err
+            # only the edge field's checks raise ValidationError
+            raise field_error(str(err), line_no, raw, 1) from err
     if vertex_count is None:
         raise FormatError("empty graph file: missing 'graph' header", 1, 1)
     return Graph(vertex_count, frozenset(parities)), parities

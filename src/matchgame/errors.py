@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one budget rule."""
 
+import re
 from typing import Iterable
 
 DEFAULT_BUDGET = 2_000_000
@@ -27,6 +28,13 @@ class FormatError(MatchGameError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+def field_error(message: str, line: int, raw: str, index: int) -> FormatError:
+    """FormatError at the column where field ``index`` of ``raw.split()``
+    starts, or just past the line's end when it has only ``index`` fields."""
+    starts = [field.start() + 1 for field in re.finditer(r"\S+", raw)]
+    return FormatError(message, line, (starts + [len(raw) + 1])[index])
 
 
 class BudgetExceededError(MatchGameError):

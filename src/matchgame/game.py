@@ -57,7 +57,7 @@ class BitString:
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
-        if not text or any(ch not in "01" for ch in text):
+        if not text or text.strip("01"):
             raise ValidationError(f"not a bit string: {text!r}")
         return cls(int(text, 2), len(text))
 

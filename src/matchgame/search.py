@@ -231,9 +231,11 @@ def hill_climb(
     appended for every evaluation, with kind one of "start", "restart",
     "accept", "reject".
     """
-    ctx = _context(inst.m)
+    # the closed-form checks before the context build, the size check first
+    _require_table_budget(inst)
     if iterations < 0:
         raise ValidationError(f"iterations must be non-negative, got {iterations}")
+    ctx = _context(inst.m)
     rng = random.Random(seed)
     size = len(ctx.matchings)
 

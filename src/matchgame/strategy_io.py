@@ -12,16 +12,25 @@ rejected with a line/column diagnostic.
 
 from __future__ import annotations
 
+import functools
 import re
 
-from .errors import FormatError, ValidationError, bounded_product, require_budget
+from .errors import (
+    SIZE_CAP,
+    FormatError,
+    ValidationError,
+    bounded_product,
+    field_error,
+    require_budget,
+)
 from .game import BitString, Edge, GameInstance, _require_bits, _require_vertices
 from .matchings import PerfectMatching, _canonical_key, matching_count
 from .strategies import DeterministicStrategy, PartialStrategy, _require_edge
 
 __all__ = ["format_strategy", "parse_strategy"]
 
-_TOKEN = re.compile(r"\S+")
+# A header m with more digits than SIZE_CAP is past it, and so is 2**m.
+_M_DIGITS = len(str(SIZE_CAP))
 
 
 def format_strategy(strategy: PartialStrategy) -> str:
@@ -35,83 +44,88 @@ def format_strategy(strategy: PartialStrategy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokens(raw: str) -> list[tuple[str, int]]:
-    return [(t.group(), t.start() + 1) for t in _TOKEN.finditer(raw)]
-
-
-def _expect_count(tokens, count, line_no, raw):
-    if len(tokens) > count:
-        raise FormatError("unexpected trailing text", line_no, tokens[count][1])
-    if len(tokens) < count:
-        raise FormatError("truncated line", line_no, len(raw) + 1)
+def _expect_count(fields, count, line_no, raw):
+    if len(fields) > count:
+        raise field_error("unexpected trailing text", line_no, raw, count)
+    if len(fields) < count:
+        raise field_error("truncated line", line_no, raw, len(fields))
 
 
 def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
-    """Parse a strategy file; malformed input raises a positioned FormatError."""
+    """Parse a strategy file; malformed input raises a positioned FormatError.
+
+    Each distinct edge text, and each distinct answer or b2 text, is parsed
+    once per file; matchings are built from the parsed edges.
+    """
     inst: GameInstance | None = None
     alice: dict[BitString, BitString] = {}
     bob: dict[PerfectMatching, tuple[Edge, BitString]] = {}
+    edges, bits = functools.cache(Edge.parse), functools.cache(BitString.parse)
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokens(raw)
-        if not tokens:
+        fields = raw.split()
+        if not fields:
             continue
-        word, col = tokens[0]
-        # Values go through the strategy types' own checks; col follows the
+        word, at = fields[0], 0
+        # Values go through the strategy types' own checks; ``at`` follows the
         # field being read, so their errors point at it.
         try:
             if word == "game":
                 if inst is not None:
-                    raise FormatError("duplicate game header", line_no, col)
-                _expect_count(tokens, 2, line_no, raw)
-                field, col = tokens[1]
-                match = re.fullmatch(r"m=(\d+)", field)
+                    raise field_error("duplicate game header", line_no, raw, 0)
+                _expect_count(fields, 2, line_no, raw)
+                at = 1
+                match = re.fullmatch(r"m=(\d+)", fields[1])
                 if not match:
-                    raise FormatError("expected m=<even integer>", line_no, col)
-                inst = GameInstance(int(match.group(1)))
+                    raise field_error("expected m=<even integer>", line_no, raw, 1)
+                digits = match.group(1).lstrip("0") or "0"
+                if len(digits) > _M_DIGITS:
+                    # too long to convert or to print: only its length is written
+                    formula = f"2**m (m of {len(digits)} digits)"
+                    require_budget(SIZE_CAP, formula, "{} alice lines")
+                inst = GameInstance(int(digits))
                 alice_lines = bounded_product(2 for _ in range(inst.m))
                 require_budget(alice_lines, f"2**{inst.m}", "{} alice lines")
             elif inst is None:
-                raise FormatError(
-                    "strategy file must start with 'game m=<m>'", line_no, col
-                )
+                message = "strategy file must start with 'game m=<m>'"
+                raise field_error(message, line_no, raw, 0)
             elif word == "alice":
-                _expect_count(tokens, 4, line_no, raw)
-                (xtok, xcol), (arrow, acol), (atok, vcol) = tokens[1:]
+                _expect_count(fields, 4, line_no, raw)
+                _, xtok, arrow, atok = fields
                 if arrow != "->":
-                    raise FormatError("expected '->'", line_no, acol)
-                col = xcol
+                    raise field_error("expected '->'", line_no, raw, 2)
+                at = 1
                 x = BitString.parse(xtok)
-                col = vcol
-                a = BitString.parse(atok)
-                col = xcol
+                at = 3
+                a = bits(atok)
+                at = 1
                 _require_bits(x, inst.m, "alice input")
-                col = vcol
+                at = 3
                 _require_bits(a, inst.n, "alice output")
                 if x in alice:
-                    raise FormatError(f"duplicate alice input {x}", line_no, xcol)
+                    raise field_error(f"duplicate alice input {x}", line_no, raw, 1)
                 alice[x] = a
             elif word == "bob":
-                _expect_count(tokens, 5, line_no, raw)
-                (ytok, ycol), (arrow, acol), (etok, ecol), (btok, bcol) = tokens[1:]
+                _expect_count(fields, 5, line_no, raw)
+                _, ytok, arrow, etok, btok = fields
                 if arrow != "->":
-                    raise FormatError("expected '->'", line_no, acol)
-                col = ycol
-                y = PerfectMatching.parse(ytok)
+                    raise field_error("expected '->'", line_no, raw, 2)
+                at = 1
+                y = PerfectMatching(tuple(edges(part) for part in ytok.split(",")))
                 _require_vertices(y, inst.m)
-                col = ecol
-                edge = Edge.parse(etok)
+                at = 3
+                edge = edges(etok)
                 _require_edge(edge, y)
-                col = bcol
-                b2 = BitString.parse(btok)
+                at = 4
+                b2 = bits(btok)
                 _require_bits(b2, inst.n, "b2")
                 if y in bob:
-                    raise FormatError(f"duplicate bob input {y}", line_no, ycol)
+                    raise field_error(f"duplicate bob input {y}", line_no, raw, 1)
                 bob[y] = (edge, b2)
             else:
-                raise FormatError(f"unknown directive {word!r}", line_no, col)
+                raise field_error(f"unknown directive {word!r}", line_no, raw, 0)
         except ValidationError as err:
-            raise FormatError(str(err), line_no, col) from err
+            raise field_error(str(err), line_no, raw, at) from err
     if inst is None:
         raise FormatError("empty strategy file: missing 'game' header", 1, 1)
     if len(alice) != 1 << inst.m:

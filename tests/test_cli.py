@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchgame
+from matchgame import search
 from matchgame.cli import main
 from matchgame.game import GameInstance
 from matchgame.search import complete_anchor_strategy
@@ -177,6 +178,14 @@ def test_strategy_file_sized_from_its_header(run_cli, command):
     assert err == "error: 2**20000 alice lines exceeds budget 2000000\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "verify", "audit"])
+def test_overlong_header_refused_by_its_digit_count(run_cli, command):
+    code, out, err = run_cli([command], stdin_text="game m=" + "2" * 5000 + "\n")
+    assert (code, out) == (3, "")
+    assert err == "error: 2**m (m of 5000 digits) alice lines exceeds budget 2000000\n"
+    assert len(err.encode()) < 200
+
+
 class _ReachedWork(Exception):
     pass
 
@@ -241,6 +250,17 @@ def test_negative_counts_rejected(run_cli, flag):
         assert out.splitlines()[:2] == ["best=40/48", "bound=lower"]
     else:
         assert out == ""
+
+
+def test_negative_iters_refused_before_the_context_build(run_cli, monkeypatch):
+    built = []
+    build = search._context
+    monkeypatch.setattr(search, "_context", lambda m: built.append(m) or build(m))
+    start = time.perf_counter()
+    code, out, err = run_cli(["search", "--m", "14", "--seed", "0", "--iters", "-5"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, built) == (2, "", [])
+    assert "non-negative" in err
 
 
 def test_audit_output(run_cli):
@@ -326,16 +346,41 @@ def test_unknown_command_is_usage_error(run_cli):
     assert code == 2
 
 
-def test_console_entry_point_via_module():
+def _run_module(args):
+    """(exit code, stdout) of ``python -m matchgame`` in a fresh process."""
     # The child must import the same package, installed or not.
     root = str(Path(matchgame.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "matchgame", "certificate", "--m", "8"],
+        [sys.executable, "-m", "matchgame", *args],
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "excluded=true needed=5 possible=4\n"
+    return proc.returncode, proc.stdout
+
+
+def test_console_entry_point_via_module():
+    code, out = _run_module(["certificate", "--m", "8"])
+    assert code == 0
+    assert out == "excluded=true needed=5 possible=4\n"
+
+
+def test_cached_parser_keeps_no_state_between_calls(run_cli, tmp_path):
+    # One process runs the commands in sequence; each must match a fresh one.
+    f = str(tmp_path / "F.strat")
+    search_args = ["search", "--m", "4", "--seed", "0", "--iters", "5"]
+    sample = ["quantum", "sample", "--m", "4", "--x", "0110", "--y", "0-2,1-3", "--seed", "3"]
+    steps = [
+        search_args + ["--out", f],
+        search_args,
+        sample,
+        ["eval", "--strategy", f, "--rounds", "2"],
+        ["eval", "--strategy", f],
+    ]
+    results = [run_cli(args)[:2] for args in steps]
+    assert [code for code, _ in results] == [0, 0, 0, 2, 0]
+    assert "game m=4" in results[1][1].splitlines()
+    assert len(results[2][1].splitlines()) == 1
+    assert results == [_run_module(args) for args in steps]

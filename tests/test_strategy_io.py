@@ -1,12 +1,14 @@
 """Strategy file format: round trips and positioned parse errors."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from matchgame.errors import BudgetExceededError, FormatError
-from matchgame.game import BitString, GameInstance
+from matchgame.game import BitString, Edge, GameInstance
 from matchgame.matchings import PerfectMatching
+from matchgame.search import complete_anchor_strategy
 from matchgame.strategies import (
     DeterministicStrategy,
     PartialStrategy,
@@ -58,6 +60,22 @@ class TestRoundTrip:
         lines = text.splitlines()
         assert len(lines) == 1 + (1 << 16) + 3
         assert lines[-3:] == [f"bob {t} -> {y.edges[-1]} 0001" for t, y in zip(canonical, ys)]
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        s = complete_anchor_strategy(GameInstance(8))
+        calls = Counter()
+        for cls in (Edge, BitString):
+
+            def counted(text, parse=cls.parse, name=cls.__name__):
+                calls[name] += 1
+                return parse(text)
+
+            monkeypatch.setattr(cls, "parse", staticmethod(counted))
+        assert parse_strategy(format_strategy(s)) == s
+        # 28 edges on 8 vertices, where one parse per edge field is 525; the
+        # 256 inputs, plus 8 answer and 8 b2 texts at most
+        assert calls["Edge"] <= 28
+        assert calls["BitString"] <= 256 + 2 * 8
 
     def test_blank_lines_ignored_and_order_free(self):
         s = known_winning_strategy(4)
@@ -154,6 +172,12 @@ class TestDiagnostics:
         assert str(exc.value) == "2**22 = 4194304 alice lines exceeds budget 2000000"
         assert "cover 0 of 1048576 inputs" in str(err_for("game m=20\n"))
 
+    def test_header_m_past_the_size_cap_is_written_by_its_digit_count(self):
+        for digits, shown in [(39, "8" * 39), (40, "m (m of 40 digits)")]:
+            with pytest.raises(BudgetExceededError) as exc:
+                parse_strategy("game m=00" + "8" * digits + "\n")
+            assert str(exc.value) == f"2**{shown} alice lines exceeds budget 2000000"
+
     def test_bad_b2_width(self):
         err = err_for("game m=2\nbob 0-1 -> 0-1 00\n")
         assert (err.line, err.column) == (2, 16)
@@ -174,3 +198,23 @@ class TestDiagnostics:
     def test_first_fault_in_field_order_is_reported(self, text, column):
         err = err_for(text)
         assert (err.line, err.column) == (2, column)
+
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            # a non-numeric edge inside the matching
+            ("bob 0-x,2-3 -> 0-1 00", 5, "not an edge: '0-x' (expected 'i-j')"),
+            # a reversed edge
+            ("bob 1-0,2-3 -> 0-1 00", 5, "edge must be written with i < j: '1-0'"),
+            # a non-binary b2
+            ("bob 0-1,2-3 -> 0-1 0a", 20, "not a bit string: '0a'"),
+            # a non-binary alice answer
+            ("alice 0101 -> 0a", 15, "not a bit string: '0a'"),
+            # a truncated line ending in spaces: the column after them
+            ("alice 0101 ->   ", 17, "truncated line"),
+        ],
+    )
+    def test_fault_inside_a_field_is_placed_at_the_field(self, text, column, message):
+        err = err_for(f"game m=4\n{text}\n")
+        assert (err.line, err.column) == (2, column)
+        assert str(err) == f"line 2, column {column}: {message}"
