@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, field_error
+from .errors import SIZE_CAP_DIGITS, FormatError, ValidationError, field_error
 from .game import BitString, Edge, GameInstance, _pair_parity
 from .matchings import PerfectMatching
 from .strategies import PartialStrategy, _require_total
@@ -389,9 +389,13 @@ def parse_parity_graph(text: str) -> tuple[Graph, dict[Edge, int]]:
                 if len(fields) != 2:
                     raise field_error("expected 'graph n=<count>'", line_no, raw, 0)
                 match = re.fullmatch(r"n=(\d+)", fields[1])
-                if not match or int(match.group(1)) < 1:
+                digits = match.group(1).lstrip("0") if match else ""
+                if not digits:
                     raise field_error("expected n=<positive integer>", line_no, raw, 1)
-                vertex_count = int(match.group(1))
+                if len(digits) > SIZE_CAP_DIGITS:
+                    message = f"n of {len(digits)} digits (at most {SIZE_CAP_DIGITS})"
+                    raise field_error(message, line_no, raw, 1)
+                vertex_count = int(digits)
             elif word == "edge":
                 if vertex_count is None:
                     message = "graph file must start with 'graph n=<count>'"

@@ -7,6 +7,9 @@ DEFAULT_BUDGET = 2_000_000
 # Closed-form sizes are exact below SIZE_CAP and saturate there, so a size
 # check costs a bounded number of bigint operations at any m.
 SIZE_CAP = 1 << 128
+# A decimal field with more significant digits than SIZE_CAP is past it; it
+# is refused by its digit count, never converted to an int or printed.
+SIZE_CAP_DIGITS = len(str(SIZE_CAP))
 
 
 class MatchGameError(Exception):

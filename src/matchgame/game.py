@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import ValidationError
+from .errors import SIZE_CAP_DIGITS, ValidationError
 
 if TYPE_CHECKING:
     from .matchings import PerfectMatching
@@ -130,7 +130,13 @@ class Edge:
         match = re.fullmatch(r"(\d+)-(\d+)", text)
         if not match:
             raise ValidationError(f"not an edge: {text!r} (expected 'i-j')")
-        i, j = int(match.group(1)), int(match.group(2))
+        ends = [digits.lstrip("0") or "0" for digits in match.groups()]
+        longest = max(len(digits) for digits in ends)
+        if longest > SIZE_CAP_DIGITS:
+            raise ValidationError(
+                f"edge endpoint of {longest} digits (at most {SIZE_CAP_DIGITS})"
+            )
+        i, j = map(int, ends)
         if i >= j:
             raise ValidationError(f"edge must be written with i < j: {text!r}")
         return cls(i, j)

@@ -6,8 +6,22 @@ whenever x_i = 1, applies the n-fold two-valued Fourier (Hadamard) transform
 and measures, obtaining a.  Bob measures his half in the matching basis
 {(|i> +- |j>)/sqrt(2) : {i, j} in y}, obtaining an edge and a sign, and
 encodes the sign into b2.  Every outcome with nonzero probability wins the
-round; ``verify_always_wins`` checks that exhaustively rather than assuming
-it.
+round; ``verify_always_wins`` checks that on the simulator rather than
+assuming it.
+
+Bob's outcome (edge {i, j}, sign s) leaves Alice's half in span{|i>, |j>},
+and her amplitude on a is proportional to (-1)^(a.i) + (-1)^(u+s+a.j) with
+u = x_i xor x_j.  It is nonzero exactly when s = u xor a.(i xor j), so for
+each a every edge of y has one supported outcome, and all m*m/2 supported
+outcomes share one probability, 2/m^2.  ``sample_round`` draws from that
+rule without the simulator; ``joint_distribution`` stays the reference.
+
+An outcome's probability and its verdict read x only through u, so they
+depend on the question through (edge, u) alone.  ``verify_always_wins``
+therefore simulates 2(m-1) questions that meet each of the m(m-1) pairs
+(edge, u): every matching of the round-robin 1-factorisation of K_m, once
+with x = 0 (u = 0 on every edge) and once with x set on each edge's smaller
+endpoint (u = 1 on every edge).
 
 Supported only for m a power of two, where Alice's transform exists; other
 even m are rejected rather than approximated.
@@ -29,11 +43,12 @@ from .game import (
     Edge,
     GameInstance,
     Question,
+    _pair_parity,
     _require_bits,
     _require_vertices,
     wins_round,
 )
-from .matchings import PerfectMatching, _bounded_count, enumerate_matchings
+from .matchings import PerfectMatching, _bounded_count
 
 __all__ = [
     "StateVector",
@@ -211,37 +226,75 @@ def joint_distribution(
     return OutcomeDistribution(probs)
 
 
+def _supported_probability(m: int) -> float:
+    """The simulator's float for each supported outcome: 2/m^2 up to rounding.
+
+    It is built from the same factors, in the same order, as
+    ``joint_distribution``'s (s*r)*s + (s*r)*s amplitude, so draws from it
+    match draws from the simulated distribution bit for bit.
+    """
+    s = 1.0 / math.sqrt(m)
+    r = 1.0 / math.sqrt(2.0)
+    return (2 * ((s * r) * s)) ** 2
+
+
 def sample_round(
     inst: GameInstance, x: BitString, y: PerfectMatching, rng_seed: int
 ) -> Answer:
-    """Draw one outcome of the round; a fixed seed gives a fixed draw."""
-    dist = joint_distribution(inst, x, y)
-    rng = random.Random(rng_seed)
-    u = rng.random()
-    acc = 0.0
-    outcome = None
-    for outcome, p in dist.sorted_items():
-        acc += p
-        if u < acc:
-            break
-    assert outcome is not None
-    a, edge, b2 = outcome
-    return Answer(edge=edge, a=a, b2=b2)
+    """Draw one outcome of the round; a fixed seed gives a fixed draw.
+
+    The m*m/2 supported outcomes are taken in (a, edge) order, and the draw
+    is the first whose running probability total exceeds a uniform u; a u at
+    or above the float total falls to the last outcome.
+    """
+    m = _require_power_of_two(inst)
+    _require_bits(x, m, "x")
+    _require_vertices(y, m)
+    require_budget(bounded_product((m, m)), f"{m}*{m}", "{} amplitudes")
+    half = m // 2
+    totals = np.cumsum(np.full(m * half, _supported_probability(m)))
+    u = random.Random(rng_seed).random()
+    k = min(int(np.searchsorted(totals, u, side="right")), m * half - 1)
+    av, col = divmod(k, half)
+    edge = y.edges[col]
+    parity = _pair_parity(x.value, m, edge.i, edge.j)
+    sign_bit = parity ^ (av & (edge.i ^ edge.j)).bit_count() & 1
+    b2 = _sign_response(edge, sign_bit, inst.n)
+    return Answer(edge=edge, a=BitString(av, inst.n), b2=b2)
+
+
+def _covering_questions(m: int) -> list[tuple[BitString, PerfectMatching]]:
+    """2(m-1) questions meeting every (edge, x_i xor x_j) pair of K_m.
+
+    Round r of the round-robin 1-factorisation pairs r with m-1 and r+k with
+    r-k (mod m-1); each matching is asked with x = 0 and with x set on the
+    smaller endpoint of each of its edges.
+    """
+    questions = []
+    for r in range(m - 1):
+        edges = [Edge(r, m - 1)]
+        edges += [Edge((r + k) % (m - 1), (r - k) % (m - 1)) for k in range(1, m // 2)]
+        y = PerfectMatching(tuple(edges))
+        smaller = {e.i for e in y.edges}
+        ones = BitString.from_bits(int(v in smaller) for v in range(m))
+        questions += [(BitString(0, m), y), (ones, y)]
+    return questions
 
 
 def verify_always_wins(inst: GameInstance) -> bool:
-    """Exhaustively check that every supported outcome wins every question."""
+    """Check on the simulator that every supported outcome wins every question.
+
+    The budget still counts all 2^m (m-1)!! questions; the simulated ones are
+    the 2(m-1) covering questions, which decide all of them (module notes).
+    """
     m = _require_power_of_two(inst)
     inputs = bounded_product(2 for _ in range(m))
     questions = bounded_product((inputs, _bounded_count(m)))
     require_budget(questions, f"2**{m} * {m - 1}!!", "{} questions")
-    matchings = enumerate_matchings(inst)
-    for xv in range(1 << m):
-        x = BitString(xv, m)
-        for y in matchings:
-            question = Question(x=x, y=y)
-            dist = joint_distribution(inst, x, y)
-            for (a, edge, b2), _ in dist.items():
-                if not wins_round(inst, question, Answer(edge=edge, a=a, b2=b2)):
-                    return False
+    for x, y in _covering_questions(m):
+        question = Question(x=x, y=y)
+        dist = joint_distribution(inst, x, y)
+        for (a, edge, b2), _ in dist.items():
+            if not wins_round(inst, question, Answer(edge=edge, a=a, b2=b2)):
+                return False
     return True

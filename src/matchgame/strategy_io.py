@@ -17,6 +17,7 @@ import re
 
 from .errors import (
     SIZE_CAP,
+    SIZE_CAP_DIGITS,
     FormatError,
     ValidationError,
     bounded_product,
@@ -28,9 +29,6 @@ from .matchings import PerfectMatching, _canonical_key, matching_count
 from .strategies import DeterministicStrategy, PartialStrategy, _require_edge
 
 __all__ = ["format_strategy", "parse_strategy"]
-
-# A header m with more digits than SIZE_CAP is past it, and so is 2**m.
-_M_DIGITS = len(str(SIZE_CAP))
 
 
 def format_strategy(strategy: PartialStrategy) -> str:
@@ -79,7 +77,7 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
                 if not match:
                     raise field_error("expected m=<even integer>", line_no, raw, 1)
                 digits = match.group(1).lstrip("0") or "0"
-                if len(digits) > _M_DIGITS:
+                if len(digits) > SIZE_CAP_DIGITS:
                     # too long to convert or to print: only its length is written
                     formula = f"2**m (m of {len(digits)} digits)"
                     require_budget(SIZE_CAP, formula, "{} alice lines")

@@ -2,15 +2,18 @@
 
 Everything here deliberately avoids the library's fast paths: counts come
 from plain enumeration or recursion, matchings from backtracking, and round
-outcomes from the public adjudicator alone.
+outcomes from the public adjudicator alone.  The quantum oracles read
+everything from the statevector simulator, ``joint_distribution``.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from matchgame.game import Answer, BitString, Question, wins_round
 from matchgame.matchings import enumerate_matchings
+from matchgame.quantum import joint_distribution
 
 
 def recursive_matching_count(m: int) -> int:
@@ -95,3 +98,32 @@ def brute_success_count(strategy, inst) -> int:
             if wins_round(inst, Question(x=x, y=y), answer):
                 wins += 1
     return wins
+
+
+def simulated_draw(inst, x, y, u: float) -> Answer:
+    """The outcome a uniform ``u`` selects from the simulated distribution:
+    the first, in sorted order, whose running total exceeds ``u``, else the
+    last."""
+    acc = 0.0
+    for (a, edge, b2), p in joint_distribution(inst, x, y).sorted_items():
+        acc += p
+        if u < acc:
+            break
+    return Answer(edge=edge, a=a, b2=b2)
+
+
+def simulated_sample_round(inst, x, y, rng_seed: int) -> Answer:
+    """One seeded round drawn from the simulator, one u per seed."""
+    return simulated_draw(inst, x, y, random.Random(rng_seed).random())
+
+
+def simulated_always_wins(inst) -> bool:
+    """Every supported outcome of every one of the 2^m (m-1)!! questions wins."""
+    for xv in range(1 << inst.m):
+        x = BitString(xv, inst.m)
+        for y in enumerate_matchings(inst):
+            question = Question(x=x, y=y)
+            for (a, edge, b2), _ in joint_distribution(inst, x, y).items():
+                if not wins_round(inst, question, Answer(edge=edge, a=a, b2=b2)):
+                    return False
+    return True

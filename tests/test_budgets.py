@@ -61,7 +61,7 @@ ENTRY_POINTS = {
     # its smallest and largest sizes are pinned in test_search.py
     "exact_optimum": (exact_optimum, None, None, BIG, "matchgame.search._context"),
     "verify_always_wins": (
-        verify_always_wins, 16, 8, 1 << 19, "matchgame.quantum.enumerate_matchings"
+        verify_always_wins, 16, 8, 1 << 19, "matchgame.quantum.joint_distribution"
     ),
     "shared_state": (shared_state, 2048, 1024, 1 << 19, "matchgame.quantum.StateVector"),
     # no huge case: a question at m = 2**19 alone takes seconds to build

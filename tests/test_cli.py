@@ -186,6 +186,13 @@ def test_overlong_header_refused_by_its_digit_count(run_cli, command):
     assert len(err.encode()) < 200
 
 
+def test_overlong_edge_endpoint_is_a_positioned_error(run_cli):
+    text = "game m=2\nbob 0-" + "9" * 5000 + " -> 0-1 0\n"
+    code, out, err = run_cli(["verify"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, column 5: edge endpoint of 5000 digits (at most 39)\n"
+
+
 class _ReachedWork(Exception):
     pass
 
@@ -311,6 +318,14 @@ def test_quantum_sample_validates_shapes(run_cli):
     )
     assert code == 2
     assert "expected 4" in err
+
+
+def test_quantum_sample_refuses_an_overlong_edge_endpoint(run_cli):
+    y = "0-" + "9" * 5000
+    args = ["quantum", "sample", "--m", "2", "--x", "01", "--y", y, "--seed", "0"]
+    code, out, err = run_cli(args)
+    assert (code, out) == (2, "")
+    assert err == "error: edge endpoint of 5000 digits (at most 39)\n"
 
 
 @pytest.mark.parametrize(

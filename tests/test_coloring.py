@@ -377,3 +377,16 @@ class TestParityGraphFormat:
         with pytest.raises(FormatError) as exc:
             parse_parity_graph("graph n=3\nedge 0-1 h=2\n")
         assert (exc.value.line, exc.value.column) == (2, 10)
+
+    def test_overlong_header_count_is_refused_by_its_digit_count(self):
+        with pytest.raises(FormatError) as exc:
+            parse_parity_graph("graph n=" + "7" * 5000)
+        assert str(exc.value) == "line 1, column 7: n of 5000 digits (at most 39)"
+        assert len(parse_parity_graph("graph n=00" + "7" * 39)[0].edges) == 0
+
+    def test_overlong_edge_endpoint_is_refused_by_its_digit_count(self):
+        with pytest.raises(FormatError) as exc:
+            parse_parity_graph("graph n=3\nedge 0-" + "9" * 5000 + " h=1\n")
+        assert str(exc.value) == (
+            "line 2, column 6: edge endpoint of 5000 digits (at most 39)"
+        )

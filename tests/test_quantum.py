@@ -1,26 +1,62 @@
 """Statevector simulation of the entangled strategy."""
 
+import itertools
 import math
+import random
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
+from matchgame import quantum
 from matchgame.errors import UnsupportedGameError, ValidationError
 from matchgame.game import BitString, Edge, GameInstance, Question, dot, wins_round
 from matchgame.matchings import PerfectMatching, enumerate_matchings
 from matchgame.quantum import (
     OutcomeDistribution,
     StateVector,
+    _covering_questions,
+    _supported_probability,
     joint_distribution,
     sample_round,
     shared_state,
     verify_always_wins,
 )
+from oracles import simulated_always_wins, simulated_draw, simulated_sample_round
 
 
 def bits(text):
     return BitString.parse(text)
+
+
+def random_question(rng, m):
+    vertices = list(range(m))
+    rng.shuffle(vertices)
+    y = PerfectMatching(tuple(Edge(i, j) for i, j in zip(vertices[::2], vertices[1::2])))
+    return BitString(rng.getrandbits(m), m), y
+
+
+def all_questions(m):
+    inst = GameInstance(m)
+    return [(BitString(xv, m), y) for xv in range(1 << m) for y in enumerate_matchings(inst)]
+
+
+def by_edge_and_parity(dist, x):
+    """(edge, x_i xor x_j) -> {(a, b2): probability} over the supported outcomes."""
+    out = defaultdict(dict)
+    for (a, edge, b2), p in dist.items():
+        out[(edge, x[edge.i] ^ x[edge.j])][(a, b2)] = p
+    return out
+
+
+class _FixedDraw:
+    """Stands in for ``random.Random(seed)``: its one draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 class TestSharedState:
@@ -183,7 +219,89 @@ class TestSampling:
             assert abs(freq[edge] / draws - 0.5) < 0.05
 
 
+class TestSamplerMatchesSimulator:
+    """``sample_round`` draws from the per-edge rule; the simulator decides."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_every_question(self, m):
+        inst = GameInstance(m)
+        for x, y in all_questions(m):
+            for seed in range(20):
+                expected = simulated_sample_round(inst, x, y, seed)
+                assert sample_round(inst, x, y, seed) == expected
+
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    def test_random_questions(self, m):
+        inst = GameInstance(m)
+        rng = random.Random(m)
+        for _ in range(25):
+            x, y = random_question(rng, m)
+            seed = rng.getrandbits(32)
+            assert sample_round(inst, x, y, seed) == simulated_sample_round(inst, x, y, seed)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_draws_at_the_running_totals(self, monkeypatch, m):
+        # u exactly at each running total, just below it, and past the total
+        inst = GameInstance(m)
+        x, y = random_question(random.Random(m), m)
+        sims = joint_distribution(inst, x, y).sorted_items()
+        totals = list(itertools.accumulate(p for _, p in sims))
+        us = [v for t in totals for v in (t, math.nextafter(t, 0.0))]
+        us += [math.nextafter(totals[-1], 1.0), math.nextafter(1.0, 0.0)]
+        for u in us:
+            monkeypatch.setattr(quantum.random, "Random", lambda seed, u=u: _FixedDraw(u))
+            assert sample_round(inst, x, y, 0) == simulated_draw(inst, x, y, u)
+
+    def test_supported_probability_is_the_simulators_float(self):
+        rng = random.Random(64)
+        for m in (2, 4, 8, 16, 32, 64):
+            for _ in range(3):
+                dist = joint_distribution(GameInstance(m), *random_question(rng, m))
+                assert len(dist.probabilities) == m * m // 2
+                assert set(dist.probabilities.values()) == {_supported_probability(m)}
+
+
+class TestCoveringQuestions:
+    def test_every_edge_and_parity_is_met(self):
+        for m in range(2, 66, 2):
+            questions = _covering_questions(m)
+            assert len(questions) == 2 * (m - 1)
+            assert all(len(x) == m and y.m == m for x, y in questions)
+            met = {(e, x[e.i] ^ x[e.j]) for x, y in questions for e in y}
+            pairs = itertools.combinations(range(m), 2)
+            assert met == {(Edge(i, j), u) for i, j in pairs for u in (0, 1)}
+
+    @pytest.mark.parametrize("m, count", [(4, None), (8, 100)])
+    def test_outcomes_depend_on_the_question_only_through_edge_and_parity(self, m, count):
+        inst = GameInstance(m)
+        cover = {}
+        for x, y in _covering_questions(m):
+            cover.update(by_edge_and_parity(joint_distribution(inst, x, y), x))
+        rng = random.Random(m)
+        questions = all_questions(m) if count is None else [
+            random_question(rng, m) for _ in range(count)
+        ]
+        for x, y in questions:
+            per_pair = by_edge_and_parity(joint_distribution(inst, x, y), x)
+            assert len(per_pair) == m // 2
+            for key, outcomes in per_pair.items():
+                assert outcomes == cover[key]
+
+
 class TestVerifyAlwaysWins:
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_agrees_with_every_question_simulated(self, m):
+        inst = GameInstance(m)
+        assert verify_always_wins(inst) is simulated_always_wins(inst) is True
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_b2_zero_mutant_is_caught(self, monkeypatch, m):
+        monkeypatch.setattr(quantum, "_sign_response", lambda edge, s, n: BitString(0, n))
+        inst = GameInstance(m)
+        assert verify_always_wins(inst) is False
+        if m <= 4:
+            assert simulated_always_wins(inst) is False
+
     def test_m2(self):
         assert verify_always_wins(GameInstance(2))
 
