@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SIZE_CAP_DIGITS, FormatError, ValidationError, field_error
 from .game import BitString, Edge, GameInstance, _pair_parity
 from .matchings import PerfectMatching
-from .strategies import PartialStrategy, _require_total
+from .strategies import PartialStrategy, _alice_values, _require_total
 
 __all__ = [
     "Graph",
@@ -254,7 +254,7 @@ def audit_strategy(strategy: PartialStrategy, inst: GameInstance) -> StrategyAud
     """
     _require_total(strategy, inst)
     m, n = inst.m, inst.n
-    avals = np.array([strategy.alice[BitString(xv, m)].value for xv in range(1 << m)])
+    avals = _alice_values(strategy.alice, m)
     # Largest class; argmax breaks ties toward the smallest answer so the
     # audit is deterministic.
     xs = np.flatnonzero(avals == np.bincount(avals).argmax())

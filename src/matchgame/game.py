@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from .errors import SIZE_CAP_DIGITS, ValidationError
 
 if TYPE_CHECKING:
@@ -209,6 +211,30 @@ def _require_vertices(y: "PerfectMatching", m: int) -> None:
 def _pair_parity(x, m: int, i, j):
     """x_i xor x_j of m-bit x, an int or int array: x_k is bit m-1-k of x."""
     return ((x >> (m - 1 - i)) ^ (x >> (m - 1 - j))) & 1
+
+
+def _orbit_coordinates(x: np.ndarray, m: int):
+    """(rep, k, c) of each m-bit input of the int array x: x = rep ^ l_c ^ k*1^m.
+
+    k = x_0 and c_b = x_{2^b} xor k for every b < n, with c_b bit b of c
+    counted from the least significant end (the anchor strategy's order);
+    l_c is the m-bit string with l_c(i) = dot(i, c).  rep is the one input of
+    x's orbit with x_0 = 0 and every x_{2^b} = 0, and since
+    x_i xor x_j = rep_i xor rep_j xor dot(i ^ j, c), answer a scores on x
+    what a ^ c scores on rep.
+    """
+    n = (m - 1).bit_length()
+    k = (x >> (m - 1)) & 1
+    c = sum(_pair_parity(x, m, 0, 1 << b) << b for b in range(n))
+    # shift[v] = l_v: bit m-1-i holds dot(i, v)
+    shift = np.array(
+        [
+            sum(((i & v).bit_count() & 1) << (m - 1 - i) for i in range(m))
+            for v in range(1 << n)
+        ],
+        dtype=np.int64,
+    )
+    return x ^ shift[c] ^ (k * ((1 << m) - 1)), k, c
 
 
 def wins_round(inst: GameInstance, question: Question, answer: Answer) -> bool:

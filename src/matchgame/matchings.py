@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ValidationError, bounded_product, require_budget
@@ -34,10 +34,12 @@ class PerfectMatching:
     """Partition of {0..m-1} into m/2 unordered pairs.
 
     Edges are stored sorted by smaller endpoint, which is also the textual
-    order: ``"0-1,2-3"``.
+    order: ``"0-1,2-3"``.  The hash is the dataclass's own, hash((edges,)),
+    computed on first use and kept.
     """
 
     edges: tuple[Edge, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = tuple(sorted(self.edges, key=lambda e: (e.i, e.j)))
@@ -53,6 +55,11 @@ class PerfectMatching:
                 f"matching must cover 0..{m - 1} exactly"
                 f" (missing {missing}, out of range {extra})"
             )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.edges,)))
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "PerfectMatching":

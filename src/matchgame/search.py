@@ -26,7 +26,7 @@ from .errors import (
     bounded_product,
     require_budget,
 )
-from .game import BitString, GameInstance, _pair_parity
+from .game import BitString, GameInstance, _orbit_coordinates, _pair_parity
 from .matchings import PerfectMatching, _bounded_count, enumerate_matchings
 from .strategies import (
     BobEntry,
@@ -35,7 +35,6 @@ from .strategies import (
     SuccessRatio,
     _check_bob_entry,
     _require_table_budget,
-    anchor_indices,
     anchor_strategy,
 )
 
@@ -63,9 +62,11 @@ class _SearchContext:
     of an orbit have the same best count.  Each orbit holds exactly one input
     with x_0 = 0 and x_{2^k} = 0 for every k < n, so the win count is
     2^(n+1) times the sum of the best counts over those R = 2^(m-n-1)
-    representatives.  The best answer itself is not shared: the smallest
-    argmax of x need not map to the smallest argmax of x', so Alice's
-    tie-broken choice is computed on all 2^m inputs, and only in strategy().
+    representatives.  Only those R rows are ever scored.  The best answer
+    itself is not shared, since the smallest argmax of x need not map to the
+    smallest argmax of x', so strategy() gathers each input's full row,
+    agree[x, a] = agree_rep[rep(x), a ^ c(x)], from the representative rows
+    and takes Alice's tie-broken choice from it.
     """
 
     def __init__(self, inst: GameInstance):
@@ -85,14 +86,17 @@ class _SearchContext:
         # row or column r = 2e + u stands for edge e = pairs[r >> 1] and bit u
         i, j = np.repeat(np.array(pairs, dtype=np.int64), 2, axis=0).T
         r = np.arange(len(i), dtype=np.int64)
-        xs = np.arange(1 << m, dtype=np.int64)[:, None]
-        # side[x, r] = 1 when x_i xor x_j == u
-        self.side = (_pair_parity(xs, m, i, j) == (r & 1)).astype(np.int64)
-        # the orbit representatives: x_0 = 0 and x_{2^k} = 0 for every k < n
-        fixed = sum(1 << (m - 1 - p) for p in anchor_indices(inst))
-        self.reps = np.flatnonzero((xs[:, 0] & fixed) == 0)
-        self.rep_side = self.side[self.reps]
+        rep, _, c = _orbit_coordinates(np.arange(1 << m, dtype=np.int64), m)
+        # the orbit representatives: the inputs that are their own rep
+        self.reps = np.flatnonzero(rep == np.arange(1 << m))
+        # rep_side[q, r] = 1 when x_i xor x_j == u for x = reps[q]
+        self.rep_side = (
+            _pair_parity(self.reps[:, None], m, i, j) == (r & 1)
+        ).astype(np.int64)
         self.orbit = 1 << (n + 1)
+        # agree_rep.ravel()[gather[x, a]] = agree_rep[rep(x), a ^ c(x)]
+        position = np.searchsorted(self.reps, rep)
+        self.gather = (position << n)[:, None] | (c[:, None] ^ np.arange(1 << n))
         # flip[r, a] = 2e + (u xor dot(i ^ j, a)), so flip[2e, b2] is the
         # (edge, parity) slot of an answer with edge e and that b2
         parity = np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=np.int64)
@@ -100,53 +104,55 @@ class _SearchContext:
         self.inputs = [BitString(v, m) for v in range(1 << m)]
         self.answers = [BitString(v, n) for v in range(1 << n)]
 
-    def _agree(self, side: np.ndarray, pick: np.ndarray) -> np.ndarray:
-        """agree[x, a]: matchings of Bob table ``pick`` that answer a wins on x.
+    def _agree(self, pick: np.ndarray) -> np.ndarray:
+        """agree_rep[q, a]: matchings of Bob table ``pick`` that a wins on reps[q].
 
         The table counts only through counts[2e + p], the number of matchings
         answered with edge e and parity p = dot(i ^ j, b2).  Alice's answer a
         on x wins such a matching when x_i xor x_j == p xor dot(i ^ j, a), so
-        agree[x, a] = side[x] . counts[flip[:, a]], for the rows x of ``side``.
+        agree_rep[q, a] = rep_side[q] . counts[flip[:, a]].
         """
         n = self.inst.n
         edge = np.take_along_axis(self.edge_ids, (pick >> n)[:, None], axis=1)[:, 0]
         slot = self.flip[2 * edge, pick & ((1 << n) - 1)]
         counts = np.bincount(slot, minlength=len(self.flip))
-        return side @ counts[self.flip]
+        return self.rep_side @ counts[self.flip]
 
     def wins(self, pick: np.ndarray) -> int:
         """Best-response win count of Bob table ``pick``, over the representatives."""
-        return self.orbit * int(self._agree(self.rep_side, pick).max(axis=1).sum())
+        return self.orbit * int(self._agree(pick).max(axis=1).sum())
 
     def pick_from_bob(self, bob: Mapping[PerfectMatching, BobEntry]) -> np.ndarray:
         if len(bob) != len(self.matchings):
             raise ValidationError(
                 f"bob table covers {len(bob)} of {len(self.matchings)} matchings"
             )
+        m, n = self.inst.m, self.inst.n
         pick = np.empty(len(self.matchings), dtype=np.int64)
         for k, y in enumerate(self.matchings):
             entry = bob.get(y)
             if entry is None:
                 raise ValidationError(f"bob table is missing matching {y}")
-            _check_bob_entry(y, entry, self.inst)
+            _check_bob_entry(y, entry, m, n)
             edge, b2 = entry
-            pick[k] = (y.edges.index(edge) << self.inst.n) | b2.value
+            pick[k] = (y.edges.index(edge) << n) | b2.value
         return pick
 
     def strategy(self, pick: np.ndarray) -> tuple[DeterministicStrategy, int]:
         """Bob table ``pick`` with Alice best-responding, and its win count.
 
-        Every input is scored here, and ties go to the smallest answer.
+        Alice's answer on each input is the smallest argmax of its row,
+        gathered from the representative rows.
         """
         n = self.inst.n
-        agree = self._agree(self.side, pick)
-        choice = agree.argmax(axis=1).tolist()
+        agree_rep = self._agree(pick)
+        choice = agree_rep.ravel()[self.gather].argmax(axis=1).tolist()
         alice = dict(zip(self.inputs, map(self.answers.__getitem__, choice)))
         bob = {
             y: (y.edges[p >> n], self.answers[p & ((1 << n) - 1)])
             for y, p in zip(self.matchings, pick.tolist())
         }
-        wins = int(agree.max(axis=1).sum())
+        wins = self.orbit * int(agree_rep.max(axis=1).sum())
         return DeterministicStrategy(self.inst.m, alice, bob), wins
 
 
@@ -273,6 +279,5 @@ def hill_climb(
                 note(wins, "reject")
         if cur_wins > best_wins:
             best_wins, best_pick = cur_wins, current
-    strategy, wins = ctx.strategy(best_pick)
-    assert wins == best_wins
+    strategy, _ = ctx.strategy(best_pick)
     return strategy, SuccessRatio(best_wins, ctx.total)

@@ -77,12 +77,12 @@ def _require_edge(edge: Edge, y: PerfectMatching) -> None:
         raise ValidationError(f"bob output {edge} is not an edge of {y}")
 
 
-def _check_bob_entry(y: PerfectMatching, entry: BobEntry, inst: GameInstance) -> None:
+def _check_bob_entry(y: PerfectMatching, entry: BobEntry, m: int, n: int) -> None:
     """Raise ValidationError unless ``entry`` is a legal answer of Bob's to y."""
     edge, b2 = entry
-    _require_vertices(y, inst.m)
+    _require_vertices(y, m)
     _require_edge(edge, y)
-    _require_bits(b2, inst.n, "b2")
+    _require_bits(b2, n, "b2")
 
 
 class PartialStrategy:
@@ -100,16 +100,16 @@ class PartialStrategy:
         alice: Mapping[BitString, BitString],
         bob: Mapping[PerfectMatching, BobEntry],
     ):
-        inst = GameInstance(m)
+        n = GameInstance(m).n
         if len(alice) != 1 << m:
             raise ValidationError(
                 f"alice table has {len(alice)} entries, needs {1 << m}"
             )
         for x, a in alice.items():
             _require_bits(x, m, "alice input")
-            _require_bits(a, inst.n, "alice output")
+            _require_bits(a, n, "alice output")
         for y, entry in bob.items():
-            _check_bob_entry(y, entry, inst)
+            _check_bob_entry(y, entry, m, n)
         self.m = m
         self.alice = dict(alice)
         self.bob = dict(bob)
@@ -164,34 +164,52 @@ def _require_total(strategy: PartialStrategy, inst: GameInstance) -> None:
         )
 
 
-def _won_by_answer(
-    strategy: PartialStrategy, inst: GameInstance
-) -> Iterator[tuple[list[PerfectMatching], np.ndarray]]:
-    """Bob's table grouped by answer: (matchings, won) per distinct (edge, b2).
+def _alice_values(alice: Mapping[BitString, BitString], m: int) -> np.ndarray:
+    """Alice's answer values as an int64 array over x ascending."""
+    avals = np.empty(1 << m, dtype=np.int64)
+    avals[[x.value for x in alice]] = [a.value for a in alice.values()]
+    return avals
 
-    ``won[x]``, over x ascending, says whether that answer wins (x, y) for
-    each listed y: x_i xor x_j == dot(i ^ j, a xor b2), with a = alice[x].
+
+_ByParity = tuple[list[PerfectMatching], list[PerfectMatching]]
+
+
+def _flips_by_edge(
+    strategy: PartialStrategy, inst: GameInstance
+) -> Iterator[tuple[_ByParity, np.ndarray]]:
+    """Bob's table grouped by edge: ((ys with p = 0, ys with p = 1), flip).
+
+    An answer (edge {i, j}, b2) counts only through its edge and the parity
+    p = dot(i ^ j, b2).  ``flip[x]``, over x ascending, is
+    x_i xor x_j xor dot(i ^ j, alice[x]), so the answer wins (x, y) exactly
+    where flip[x] == p.  One pass over the 2^m inputs per distinct edge.
     """
     m = inst.m
-    groups: dict[BobEntry, list[PerfectMatching]] = {}
-    for y, entry in strategy.bob.items():
-        groups.setdefault(entry, []).append(y)
+    groups: dict[Edge, _ByParity] = {}
+    for y, (edge, b2) in strategy.bob.items():
+        p = ((edge.i ^ edge.j) & b2.value).bit_count() & 1
+        groups.setdefault(edge, ([], []))[p].append(y)
     xs = np.arange(1 << m, dtype=np.int64)
-    avals = np.array(
-        [strategy.alice[BitString(xv, m)].value for xv in range(1 << m)], dtype=np.int64
-    )
+    avals = _alice_values(strategy.alice, m)
     # parity[v] = popcount(v) mod 2 for every n-bit v
     parity = np.array([v.bit_count() & 1 for v in range(1 << inst.n)], dtype=np.int64)
-    for ((i, j), b2), ys in groups.items():
-        yield ys, _pair_parity(xs, m, i, j) == parity[(i ^ j) & (avals ^ b2.value)]
+    for (i, j), by_parity in groups.items():
+        yield by_parity, _pair_parity(xs, m, i, j) ^ parity[(i ^ j) & avals]
 
 
 def success(strategy: PartialStrategy, inst: GameInstance) -> SuccessRatio:
-    """Exact number of won questions out of all 2^m * (m-1)!! of them."""
+    """Exact number of won questions out of all 2^m * (m-1)!! of them.
+
+    Per edge of Bob's, the answers of parity 1 win on the inputs where flip
+    is 1 and those of parity 0 on the rest (see _flips_by_edge).
+    """
     _require_total(strategy, inst)
-    groups = _won_by_answer(strategy, inst)
-    wins = sum(len(ys) * np.count_nonzero(won) for ys, won in groups)
-    return SuccessRatio(wins, (1 << inst.m) * matching_count(inst.m))
+    size = 1 << inst.m
+    wins = 0
+    for (even, odd), flip in _flips_by_edge(strategy, inst):
+        ones = int(np.count_nonzero(flip))
+        wins += len(even) * (size - ones) + len(odd) * ones
+    return SuccessRatio(wins, size * matching_count(inst.m))
 
 
 def find_counterexample(
@@ -202,19 +220,23 @@ def find_counterexample(
     Canonical order is x ascending, then matchings in enumeration order,
     which is lexicographic on edge sequences: the smallest first losing x
     over Bob's answers, tied toward the lexicographically smallest matching.
-    Questions where Bob is undefined are skipped.
+    An answer of parity p first loses at the first x with flip[x] != p (see
+    _flips_by_edge), so each edge's answers need one pass.  Questions where
+    Bob is undefined are skipped.
     """
     _require_instance(strategy, inst)
-    losses = [
-        (int(won.argmin()), _canonical_key(y), y)
-        for ys, won in _won_by_answer(strategy, inst)
-        if not won.all()
-        for y in ys
-    ]
+    losses = []
+    for by_parity, flip in _flips_by_edge(strategy, inst):
+        for p, ys in enumerate(by_parity):
+            if ys:
+                lost = flip != p
+                if lost.any():
+                    losses.append((int(lost.argmax()), ys))
     if not losses:
         return None
-    xv, _, y = min(losses, key=lambda loss: loss[:2])
-    return BitString(xv, inst.m), y
+    first = min(xv for xv, _ in losses)
+    tied = (y for xv, ys in losses if xv == first for y in ys)
+    return BitString(first, inst.m), min(tied, key=_canonical_key)
 
 
 def verify_winning(strategy: PartialStrategy, inst: GameInstance) -> bool:

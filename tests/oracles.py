@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from matchgame.game import Answer, BitString, Question, wins_round
 from matchgame.matchings import enumerate_matchings
 from matchgame.quantum import joint_distribution
@@ -98,6 +100,42 @@ def brute_success_count(strategy, inst) -> int:
             if wins_round(inst, Question(x=x, y=y), answer):
                 wins += 1
     return wins
+
+
+def full_product_best_response(matchings, pick, m: int) -> tuple[list[int], int]:
+    """Alice's smallest-argmax answers and the win count against Bob table
+    ``pick`` (``pick[k] = pos * 2^n + b2`` over ``matchings``), from the full
+    product agree = side @ counts[flip] over all 2^m inputs.
+
+    side[x, 2e + u] = [x_i xor x_j == u]; counts[2e + p] counts the matchings
+    answered with edge e and parity p = dot(i ^ j, b2); and
+    flip[2e + u, a] = 2e + (u xor dot(i ^ j, a)).
+    """
+    n = (m - 1).bit_length()
+    pairs = list(itertools.combinations(range(m), 2))
+    counts = np.zeros(2 * len(pairs), dtype=np.int64)
+    for y, p in zip(matchings, pick.tolist()):
+        edge, b2 = y.edges[p >> n], p & ((1 << n) - 1)
+        parity = ((edge.i ^ edge.j) & b2).bit_count() & 1
+        counts[2 * pairs.index((edge.i, edge.j)) + parity] += 1
+    # bits[x, i] = x_i, the text's i-th character of x
+    bits = np.array(
+        [[int(ch) for ch in str(BitString(v, m))] for v in range(1 << m)],
+        dtype=np.int64,
+    )
+    i, j = np.array(pairs, dtype=np.int64).T
+    differ = np.repeat(bits[:, i] ^ bits[:, j], 2, axis=1)
+    side = (differ == np.tile([0, 1], len(pairs))).astype(np.int64)
+    flip = np.array(
+        [
+            [2 * e + (u ^ (((i ^ j) & a).bit_count() & 1)) for a in range(1 << n)]
+            for e, (i, j) in enumerate(pairs)
+            for u in (0, 1)
+        ],
+        dtype=np.int64,
+    )
+    agree = side @ counts[flip]
+    return agree.argmax(axis=1).tolist(), int(agree.max(axis=1).sum())
 
 
 def simulated_draw(inst, x, y, u: float) -> Answer:

@@ -1,13 +1,14 @@
 """Best responses, exhaustive optimum, completion, and hill climbing."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from matchgame.errors import BudgetExceededError, ValidationError
-from matchgame.game import BitString, GameInstance
+from matchgame.game import BitString, GameInstance, _orbit_coordinates
 from matchgame.matchings import enumerate_matchings, matching_count
 from matchgame.search import (
     _context,
@@ -24,6 +25,7 @@ from matchgame.strategies import (
     verify_winning,
 )
 from matchgame.strategy_io import format_strategy
+from oracles import full_product_best_response
 
 
 def random_bob_table(inst, rng):
@@ -144,7 +146,13 @@ class TestOrbitScoring:
             n = ctx.inst.n
             reps = ctx.reps
             assert len(reps) == 1 << (m - n - 1)
-            assert (ctx.rep_side == ctx.side[reps]).all()
+            # rep_side[q, 2e + u] = [x_i xor x_j == u] for x = reps[q]
+            pairs = list(itertools.combinations(range(m), 2))
+            expected = [
+                [int(x[i] ^ x[j] == u) for i, j in pairs for u in (0, 1)]
+                for x in (BitString(v, m) for v in reps.tolist())
+            ]
+            assert ctx.rep_side.tolist() == expected
             assert ctx.orbit == 1 << (n + 1)
             images = []
             for c in range(1 << n):
@@ -154,6 +162,40 @@ class TestOrbitScoring:
                 for k in (0, (1 << m) - 1):
                     images.extend((reps ^ shift ^ k).tolist())
             assert sorted(images) == list(range(1 << m))
+            # x = rep ^ l_c ^ k*1^m, with k = x_0, c_b = x_{2^b} xor k and rep
+            # one of the representatives
+            rep, k, c = _orbit_coordinates(np.arange(1 << m), m)
+            assert set(rep.tolist()) == set(reps.tolist())
+            coords = zip(rep.tolist(), k.tolist(), c.tolist())
+            for v, (r, kv, cv) in enumerate(coords):
+                x, rx = BitString(v, m), BitString(r, m)
+                assert kv == x[0]
+                assert cv == sum((x[1 << b] ^ x[0]) << b for b in range(n))
+                assert all(
+                    x[i] == rx[i] ^ ((i & cv).bit_count() & 1) ^ kv for i in range(m)
+                )
+
+    def test_gathered_choice_equals_full_product(self):
+        # Alice's table and the win count of strategy() against the argmax and
+        # max-sum of the full 2^m x 2E product; the all-zero and all-last
+        # tables are tie-heavy, so the smallest-answer rule is exercised.
+        for m in range(2, 13, 2):
+            ctx = _context(m)
+            rng = random.Random(100 + m)
+            size = len(ctx.matchings)
+            picks = [
+                np.zeros(size, dtype=np.int64),
+                np.full(size, ctx.choices - 1, dtype=np.int64),
+            ] + [
+                np.array([rng.randrange(ctx.choices) for _ in range(size)], dtype=np.int64)
+                for _ in range(3)
+            ]
+            for pick in picks:
+                strategy, wins = ctx.strategy(pick)
+                choice, full_wins = full_product_best_response(ctx.matchings, pick, m)
+                assert wins == full_wins
+                alice = [strategy.alice[BitString(v, m)].value for v in range(1 << m)]
+                assert alice == choice
 
     def test_reduced_count_equals_full_count_and_recount(self):
         for m in (2, 4, 6, 8, 10):

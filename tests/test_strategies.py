@@ -287,6 +287,69 @@ class TestVerifyAndCounterexamples:
         assert find_counterexample(known_winning_strategy(4), inst) is None
 
 
+def random_strategy(m, rng, defined=1.0):
+    """Random Alice and Bob tables; Bob defines each matching with probability
+    ``defined`` (every matching when it is 1)."""
+    n = GameInstance(m).n
+    alice = {
+        BitString(v, m): BitString(rng.randrange(1 << n), n) for v in range(1 << m)
+    }
+    bob = {
+        y: (rng.choice(y.edges), BitString(rng.randrange(1 << n), n))
+        for y in enumerate_matchings(GameInstance(m))
+        if defined == 1.0 or rng.random() < defined
+    }
+    return PartialStrategy(m, alice, bob)
+
+
+class TestPerEdgeScoring:
+    """success and find_counterexample score each of Bob's edges in one pass."""
+
+    def test_random_total_strategies_match_the_oracles(self):
+        for m, count in ((4, 6), (6, 4), (8, 2)):
+            inst = GameInstance(m)
+            rng = random.Random(m)
+            for _ in range(count):
+                s = random_strategy(m, rng)
+                assert success(s, inst).wins == brute_success_count(s, inst)
+                assert find_counterexample(s, inst) == brute_first_losing_question(
+                    s, inst
+                )
+
+    def test_partial_strategies_match_the_oracle(self):
+        for m in (4, 6, 8):
+            inst = GameInstance(m)
+            rng = random.Random(10 + m)
+            anchor = anchor_strategy(inst)
+            cases = [anchor, random_strategy(m, rng, 0.3), random_strategy(m, rng, 0.05)]
+            # the anchor's Alice against a random subset of its own Bob entries,
+            # with one entry's b2 flipped so that some question loses
+            kept = [(y, e) for y, e in anchor.bob.items() if rng.random() < 0.5]
+            (y, (edge, b2)), rest = kept[0], kept[1:]
+            d = edge.i ^ edge.j
+            flipped = BitString(b2.value ^ (d & -d), b2.length)  # flips dot(d, b2)
+            bob = dict(rest + [(y, (edge, flipped))])
+            cases.append(PartialStrategy(m, anchor.alice, bob))
+            for s in cases:
+                assert find_counterexample(s, inst) == brute_first_losing_question(
+                    s, inst
+                )
+
+    def test_tied_first_losses_go_to_the_smallest_matching(self):
+        # With Alice all-zero and b2 zero, an answer {i, j} loses on x exactly
+        # when x_i != x_j.  At x = 0001 (x_3 = 1) the answers 2-3 and 0-3 both
+        # lose first, on different edges, and 0-1,2-3 precedes 0-3,1-2.
+        inst = GameInstance(4)
+        zero = BitString(0, 2)
+        alice = {BitString(v, 4): zero for v in range(16)}
+        entries = [("0-3,1-2", "0-3"), ("0-2,1-3", "0-2"), ("0-1,2-3", "2-3")]
+        bob = {PerfectMatching.parse(y): (Edge.parse(e), zero) for y, e in entries}
+        s = DeterministicStrategy(4, alice, bob)
+        found = find_counterexample(s, inst)
+        assert (str(found[0]), str(found[1])) == ("0001", "0-1,2-3")
+        assert found == brute_first_losing_question(s, inst)
+
+
 class TestStrategyValidation:
     def test_bob_edge_must_lie_in_matching(self):
         inst = GameInstance(4)
