@@ -22,16 +22,9 @@ from .errors import (
     UnsupportedGameError,
     ValidationError,
 )
-from .game import (
-    BitString,
-    GameInstance,
-    Question,
-    _require_bits,
-    _require_vertices,
-    wins_round,
-)
+from .game import BitString, GameInstance, Question, wins_round
 from .matchings import PerfectMatching, enumerate_matchings
-from .quantum import _require_power_of_two, sample_round, verify_always_wins
+from .quantum import _require_question, sample_round, verify_always_wins
 from .search import complete_anchor_strategy, exact_optimum, hill_climb
 from .strategies import (
     anchor_strategy,
@@ -138,11 +131,8 @@ def _cmd_quantum_sample(args) -> int:
     if args.rounds < 0:
         raise ValidationError(f"--rounds must be non-negative, got {args.rounds}")
     inst = GameInstance(args.m)
-    _require_power_of_two(inst)
-    x = BitString.parse(args.x)
-    _require_bits(x, inst.m, "x")
-    y = PerfectMatching.parse(args.y)
-    _require_vertices(y, inst.m)
+    x, y = BitString.parse(args.x), PerfectMatching.parse(args.y)
+    _require_question(inst, x, y)
     question = Question(x=x, y=y)
     for r in range(args.rounds):
         answer = sample_round(inst, x, y, args.seed + r)

@@ -125,11 +125,10 @@ def distance(g: Graph, u: int, v: int) -> int | None:
 
 
 class _ParityUnionFind:
-    """Union-find where each node tracks its parity relative to its root."""
+    """Union-find with path compression; nodes keep their parity to the root."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.rank = [0] * n
         self.parity = [0] * n
         self.components = n
 
@@ -153,13 +152,8 @@ class _ParityUnionFind:
         rv, pv = self.find(v)
         if ru == rv:
             return (pu ^ pv) == relation
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-            pu, pv = pv, pu
         self.parent[rv] = ru
         self.parity[rv] = pu ^ pv ^ relation
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
         self.components -= 1
         return True
 
@@ -288,6 +282,8 @@ def cross_component_matching(
         raise ValidationError("parts must be non-empty")
     flat = [v for p in parts for v in p]
     m = len(flat)
+    if not m:
+        raise ValidationError("partition must have at least one part")
     if len(set(flat)) != m:
         raise ValidationError("parts must be disjoint")
     if set(flat) != set(range(m)):
@@ -388,7 +384,7 @@ def parse_parity_graph(text: str) -> tuple[Graph, dict[Edge, int]]:
                     raise field_error("duplicate graph header", line_no, raw, 0)
                 if len(fields) != 2:
                     raise field_error("expected 'graph n=<count>'", line_no, raw, 0)
-                match = re.fullmatch(r"n=(\d+)", fields[1])
+                match = re.fullmatch(r"n=([0-9]+)", fields[1])
                 digits = match.group(1).lstrip("0") if match else ""
                 if not digits:
                     raise field_error("expected n=<positive integer>", line_no, raw, 1)

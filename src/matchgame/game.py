@@ -129,7 +129,7 @@ class Edge:
 
     @classmethod
     def parse(cls, text: str) -> "Edge":
-        match = re.fullmatch(r"(\d+)-(\d+)", text)
+        match = re.fullmatch(r"([0-9]+)-([0-9]+)", text)
         if not match:
             raise ValidationError(f"not an edge: {text!r} (expected 'i-j')")
         ends = [digits.lstrip("0") or "0" for digits in match.groups()]

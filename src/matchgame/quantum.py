@@ -123,6 +123,14 @@ def _require_power_of_two(inst: GameInstance) -> int:
     return m
 
 
+def _require_question(inst: GameInstance, x: BitString, y: PerfectMatching) -> int:
+    """m, once m is a power of two and (x, y) is a question of the game."""
+    m = _require_power_of_two(inst)
+    _require_bits(x, m, "x")
+    _require_vertices(y, m)
+    return m
+
+
 def shared_state(inst: GameInstance) -> StateVector:
     """The shared state: amplitude 1/sqrt(m) on each |i>|i>, 0 elsewhere."""
     m = _require_power_of_two(inst)
@@ -190,9 +198,7 @@ def joint_distribution(
     on disjoint subsystems, so their joint distributions agree; both are
     implemented so that the agreement can be asserted numerically.
     """
-    m = _require_power_of_two(inst)
-    _require_bits(x, m, "x")
-    _require_vertices(y, m)
+    m = _require_question(inst, x, y)
     psi = _phased_state(inst, x)
     basis, meta = _matching_basis(y)
     hadamard = _hadamard(inst.n)
@@ -247,9 +253,7 @@ def sample_round(
     is the first whose running probability total exceeds a uniform u; a u at
     or above the float total falls to the last outcome.
     """
-    m = _require_power_of_two(inst)
-    _require_bits(x, m, "x")
-    _require_vertices(y, m)
+    m = _require_question(inst, x, y)
     require_budget(bounded_product((m, m)), f"{m}*{m}", "{} amplitudes")
     half = m // 2
     totals = np.cumsum(np.full(m * half, _supported_probability(m)))

@@ -33,9 +33,9 @@ from .strategies import (
     DeterministicStrategy,
     PartialStrategy,
     SuccessRatio,
+    _anchor_tables,
     _check_bob_entry,
     _require_table_budget,
-    anchor_strategy,
 )
 
 __all__ = [
@@ -211,13 +211,12 @@ def complete_anchor_strategy(
     The default filler answers the first edge in canonical order with an
     all-zero b2.
     """
-    base = anchor_strategy(inst)
+    alice, bob = _anchor_tables(inst)
     zero = BitString(0, inst.n)
-    bob = dict(base.bob)
-    for y in enumerate_matchings(inst):
-        if y not in bob:
+    for y, entry in bob.items():
+        if entry is None:
             bob[y] = filler(y) if filler is not None else (y.edges[0], zero)
-    return DeterministicStrategy(inst.m, base.alice, bob)
+    return DeterministicStrategy(inst.m, alice, bob)
 
 
 def hill_climb(

@@ -19,6 +19,7 @@ from .game import (
     BitString,
     Edge,
     GameInstance,
+    _orbit_coordinates,
     _pair_parity,
     _require_bits,
     _require_vertices,
@@ -256,31 +257,37 @@ def _require_table_budget(inst: GameInstance) -> None:
     require_budget(entries, f"2**{m} + {m - 1}!!", "{} table entries")
 
 
-def anchor_strategy(inst: GameInstance) -> PartialStrategy:
-    """Partial strategy that wins whenever Bob's matching pairs two anchors.
+def _anchor_tables(
+    inst: GameInstance,
+) -> tuple[dict[BitString, BitString], dict[PerfectMatching, BobEntry | None]]:
+    """Alice's anchor table, and Bob's anchor answer or None on every matching.
 
     Alice answers the parities x_0 xor x_{2^(n-1)}, ..., x_0 xor x_1, most
-    significant first.  Bob answers only on matchings containing a pair of
-    anchor indices, returning the first such pair in edge order with an
-    all-zero b2.  Every question on which Bob is defined is won.
+    significant first: the orbit offset c of ``_orbit_coordinates``.  Bob's
+    answer on a matching containing a pair of anchor indices is the first
+    such pair in edge order with an all-zero b2; elsewhere it is None.
     """
     _require_table_budget(inst)
     m, n = inst.m, inst.n
-    xs = np.arange(1 << m, dtype=np.int64)
-    # bit k of a, counted from the least significant end, is x_0 xor x_{2^k}
-    answers = sum(_pair_parity(xs, m, 0, 1 << k) << k for k in range(n))
-    alice = {
-        BitString(xv, m): BitString(a, n) for xv, a in enumerate(answers.tolist())
-    }
+    _, _, c = _orbit_coordinates(np.arange(1 << m, dtype=np.int64), m)
+    alice = {BitString(xv, m): BitString(a, n) for xv, a in enumerate(c.tolist())}
     anchors = anchor_indices(inst)
     zero = BitString(0, n)
-    bob: dict[PerfectMatching, BobEntry] = {}
+    bob: dict[PerfectMatching, BobEntry | None] = {}
     for y in enumerate_matchings(inst):
+        bob[y] = None
         for e in y.edges:
             if e.i in anchors and e.j in anchors:
                 bob[y] = (e, zero)
                 break
-    return PartialStrategy(m, alice, bob)
+    return alice, bob
+
+
+def anchor_strategy(inst: GameInstance) -> PartialStrategy:
+    """The anchor tables where Bob answers; every such question is won."""
+    alice, bob = _anchor_tables(inst)
+    anchored = {y: entry for y, entry in bob.items() if entry is not None}
+    return PartialStrategy(inst.m, alice, anchored)
 
 
 def indicator_string(i: int, j: int, inst: GameInstance) -> BitString:

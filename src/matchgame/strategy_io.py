@@ -73,7 +73,7 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
                     raise field_error("duplicate game header", line_no, raw, 0)
                 _expect_count(fields, 2, line_no, raw)
                 at = 1
-                match = re.fullmatch(r"m=(\d+)", fields[1])
+                match = re.fullmatch(r"m=([0-9]+)", fields[1])
                 if not match:
                     raise field_error("expected m=<even integer>", line_no, raw, 1)
                 digits = match.group(1).lstrip("0") or "0"

@@ -46,9 +46,11 @@ BIG = 600_000
 #        a huge m, the first work after the check), None where not tested
 ENTRY_POINTS = {
     "enumerate_matchings": (enumerate_matchings, 16, 14, BIG, "matchgame.matchings.Edge"),
-    "anchor_strategy": (anchor_strategy, 16, 14, BIG, "matchgame.strategies._pair_parity"),
+    "anchor_strategy": (
+        anchor_strategy, 16, 14, BIG, "matchgame.strategies._orbit_coordinates"
+    ),
     "complete_anchor_strategy": (
-        complete_anchor_strategy, 16, 14, BIG, "matchgame.strategies._pair_parity"
+        complete_anchor_strategy, 16, 14, BIG, "matchgame.strategies._orbit_coordinates"
     ),
     "hill_climb": (
         lambda inst: hill_climb(inst, 0, 1),

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, pipes, diagnostics."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -351,6 +352,23 @@ def test_malformed_strategy_file_diagnostics(run_cli, tmp_path):
     assert "line 2, column 15" in err
 
 
+@pytest.mark.parametrize(
+    "m,edge",
+    [
+        pytest.param("\u0662", "\u0660-\u0661", id="header-and-edge"),
+        pytest.param("2", "\u0660-\u0661", id="edge"),
+        pytest.param("\u0662", "0-1", id="header"),
+    ],
+)
+def test_non_ascii_digits_are_a_format_error(run_cli, m, edge):
+    # Arabic-Indic digits: \d matches them and int() reads them
+    alice = "".join(f"alice {v:02b} -> 0\n" for v in range(4))
+    text = f"game m={m}\n{alice}bob {edge} -> 0-1 0\n"
+    code, out, err = run_cli(["eval"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line ")
+
+
 def test_missing_file_is_usage_error(run_cli, tmp_path):
     code, _, err = run_cli(["eval", "--strategy", str(tmp_path / "nope.strat")])
     assert code == 2
@@ -399,3 +417,65 @@ def test_cached_parser_keeps_no_state_between_calls(run_cli, tmp_path):
     assert "game m=4" in results[1][1].splitlines()
     assert len(results[2][1].splitlines()) == 1
     assert results == [_run_module(args) for args in steps]
+
+
+# Exit code and sha256 of stdout for a matrix of commands; "A < B" feeds B's
+# stdout to A.
+_PINS = {
+    "lemma1 --m 4": (0, "85dcbfae182d2e87fa639fe301469efb0c9ec39c9238b4b0a6dbc1f206cbae39"),
+    "lemma1 --m 4 --complete": (0, "85dcbfae182d2e87fa639fe301469efb0c9ec39c9238b4b0a6dbc1f206cbae39"),
+    "lemma1 --m 6": (0, "bf80eec39a7d160c827e61876ab890a3ba765ecf42909d0ab1fe5e5fcabd128d"),
+    "lemma1 --m 6 --complete": (0, "bf80eec39a7d160c827e61876ab890a3ba765ecf42909d0ab1fe5e5fcabd128d"),
+    "lemma1 --m 8": (0, "a75198a858ed14d058f3e0453c89040d88d9412e2450f236d3235f78fe00bf95"),
+    "lemma1 --m 8 --complete": (0, "49027f4314fc1d8241c68c90c4c9a2b325b875e3c136e3efe28b109842980220"),
+    "lemma1 --m 10": (0, "a2a1e5f5eb2cc969a2d757238c4d639d41c5753f844ef588d06c8c32152991fb"),
+    "lemma1 --m 10 --complete": (0, "f40aa272a10303b976e4f0861c02ef19013f3c01e7988927dd966ca48ca1badc"),
+    "eval < lemma1 --m 4": (0, "6f161ec5eaf437bd22ee7b9594dd833bfdc42df4cd35de4f6d6a16e686a4e3c1"),
+    "verify < lemma1 --m 4": (0, "8523a99e695c2dd6d2969f3c88c1ef8a700a81a8b52e5c63df07e0f7a5e83e25"),
+    "audit < lemma1 --m 4": (0, "051fbb5d38160a7f72cb59f31e777e47e895cf5c1f341acd1f979798e7b11b07"),
+    "eval < lemma1 --m 4 --complete": (0, "6f161ec5eaf437bd22ee7b9594dd833bfdc42df4cd35de4f6d6a16e686a4e3c1"),
+    "verify < lemma1 --m 4 --complete": (0, "8523a99e695c2dd6d2969f3c88c1ef8a700a81a8b52e5c63df07e0f7a5e83e25"),
+    "audit < lemma1 --m 4 --complete": (0, "051fbb5d38160a7f72cb59f31e777e47e895cf5c1f341acd1f979798e7b11b07"),
+    "eval < lemma1 --m 6": (0, "b013ddd596f12832be4b933b87c2af8f0d2294d0fec871ef4bbb66ae3402331b"),
+    "verify < lemma1 --m 6": (0, "8523a99e695c2dd6d2969f3c88c1ef8a700a81a8b52e5c63df07e0f7a5e83e25"),
+    "audit < lemma1 --m 6": (0, "c6afb26780208f8ac9a5452f263e6b5b02869b5725f5f6dcc16295aba938ac47"),
+    "eval < lemma1 --m 6 --complete": (0, "b013ddd596f12832be4b933b87c2af8f0d2294d0fec871ef4bbb66ae3402331b"),
+    "verify < lemma1 --m 6 --complete": (0, "8523a99e695c2dd6d2969f3c88c1ef8a700a81a8b52e5c63df07e0f7a5e83e25"),
+    "audit < lemma1 --m 6 --complete": (0, "c6afb26780208f8ac9a5452f263e6b5b02869b5725f5f6dcc16295aba938ac47"),
+    "eval < lemma1 --m 8": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify < lemma1 --m 8": (0, "8523a99e695c2dd6d2969f3c88c1ef8a700a81a8b52e5c63df07e0f7a5e83e25"),
+    "audit < lemma1 --m 8": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval < lemma1 --m 8 --complete": (0, "1352b5163d2dc64c4aad65fd8c52e9528b8f2625eb62d6a922f1a61d870f2f57"),
+    "verify < lemma1 --m 8 --complete": (1, "6a7ab0858321e81df3dc22f67896ab10caedaf864caf185a879b23a44578b3c7"),
+    "audit < lemma1 --m 8 --complete": (0, "0cff619e5a98a0d8441510dbc8327ff11410ae1f6d79fa160f216d2cc5868d48"),
+    "eval < lemma1 --m 10": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify < lemma1 --m 10": (0, "8523a99e695c2dd6d2969f3c88c1ef8a700a81a8b52e5c63df07e0f7a5e83e25"),
+    "audit < lemma1 --m 10": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eval < lemma1 --m 10 --complete": (0, "69d1d46c1378f7862cee1a12a0175c0d6cc13c2705e9363600d2b9f9473e90eb"),
+    "verify < lemma1 --m 10 --complete": (1, "86f8d63a742f9f6f6081d60fbda978b999c5d2a47a68f091eded7d050da8f850"),
+    "audit < lemma1 --m 10 --complete": (0, "d53a01de3a27c1e7eb7a9ec8473aa42c2c6ab91d87747e5ee4203434e2fac158"),
+    "figures --m 4": (0, "85dcbfae182d2e87fa639fe301469efb0c9ec39c9238b4b0a6dbc1f206cbae39"),
+    "figures --m 6": (0, "9d35b73653c6598936d99ead58e12b7af9ad8fc19295a08b16bfa430d336efc9"),
+    "search --m 4 --seed 0 --iters 20": (0, "cf1520e164ea1cd098a88ae4fe762bd217e8f85bced5a7f309783a3fe6c84628"),
+    "search --m 8 --seed 1 --iters 40": (0, "540e2aa42415afe5c31b381ce5c0450f9e3dd04897fde44d83501dcda89b1623"),
+    "search --m 10 --seed 2 --iters 10": (0, "48035b59430fa1156c504e94e9883868c32db0e67a6dc7f27590467422fc1e94"),
+    "omega-d --m 2": (0, "8c5138ef7703ddb57adf65e2b2d6fce38396543d7b305c91276098fedf8bac2c"),
+    "omega-d --m 4": (0, "e928151b4df34c0c89f9917ddac581d260a88a8de61ee1f7596913908c23c57a"),
+    "quantum verify --m 2": (0, "28d791aaf8de6802d63e7e26d6fa02e20306078120194e985cea78f7228e6c07"),
+    "quantum verify --m 4": (0, "28d791aaf8de6802d63e7e26d6fa02e20306078120194e985cea78f7228e6c07"),
+    "quantum verify --m 8": (0, "28d791aaf8de6802d63e7e26d6fa02e20306078120194e985cea78f7228e6c07"),
+    "quantum verify --m 6": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "quantum verify --m 16": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "quantum sample --m 8 --x 01101001 --y 0-5,1-3,2-7,4-6 --seed 5 --rounds 4": (0, "e4d50175c7f8200b1e6bd2c6b92b7f604727d79d7f4232cc0330f89d0bd982fd"),
+    "certificate --m 8": (0, "6fab52a4e7e78c30ca4d29e0c36dd5dc7068c38d0b0aba84a72bab859454d676"),
+    "certificate --m 10": (0, "dfeda08f08d44cb6da083f778d8aed46886f7f85616214a1bf92828f02a9d8e9"),
+    "certificate --m 12": (0, "e737265636c732b6132baef6464b70cd44fa9611454eb91d8f443e0ceafd2f19"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINS))
+def test_cli_output_pinned(run_cli, case):
+    command, _, producer = case.partition(" < ")
+    stdin_text = run_cli(producer.split())[1] if producer else ""
+    code, out, _ = run_cli(command.split(), stdin_text=stdin_text)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _PINS[case]

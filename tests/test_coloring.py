@@ -302,6 +302,8 @@ class TestCrossComponentMatching:
             cross_component_matching([{0, 1}, {3, 4}])
         with pytest.raises(ValidationError, match="even"):
             cross_component_matching([{0}, {1, 2}])
+        with pytest.raises(ValidationError, match="at least one part"):
+            cross_component_matching([])
 
     def test_exhaustive_shapes_up_to_m8(self):
         for m in (2, 4, 6, 8):
@@ -383,6 +385,11 @@ class TestParityGraphFormat:
             parse_parity_graph("graph n=" + "7" * 5000)
         assert str(exc.value) == "line 1, column 7: n of 5000 digits (at most 39)"
         assert len(parse_parity_graph("graph n=00" + "7" * 39)[0].edges) == 0
+
+    def test_header_count_takes_ascii_digits_only(self):
+        with pytest.raises(FormatError) as exc:
+            parse_parity_graph("graph n=\u0663\n")
+        assert str(exc.value) == "line 1, column 7: expected n=<positive integer>"
 
     def test_overlong_edge_endpoint_is_refused_by_its_digit_count(self):
         with pytest.raises(FormatError) as exc:

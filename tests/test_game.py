@@ -83,6 +83,12 @@ class TestEdge:
             with pytest.raises(ValidationError):
                 Edge.parse(text)
 
+    def test_parse_takes_ascii_digits_only(self):
+        # Arabic-Indic and fullwidth digits match \d, and int() reads them
+        for text in ("\u0660-\u0661", "0-\uff13"):
+            with pytest.raises(ValidationError, match="not an edge"):
+                Edge.parse(text)
+
 
 class TestGameInstance:
     @pytest.mark.parametrize(

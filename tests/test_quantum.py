@@ -191,6 +191,24 @@ class TestJointDistribution:
                                  (bits("1"), Edge(0, 1), bits("1")): 1.1})
 
 
+@pytest.mark.parametrize(
+    "m,x,y",
+    [
+        pytest.param(6, "011010", "0-1,2-3,4-5", id="m6"),
+        pytest.param(4, "011", "0-1,2-3", id="short-x"),
+        pytest.param(4, "0110", "0-1", id="short-y"),
+    ],
+)
+def test_bad_question_refused_alike(m, x, y):
+    inst, question = GameInstance(m), (bits(x), PerfectMatching.parse(y))
+    errors = []
+    for call in (joint_distribution, lambda *q: sample_round(*q, 0)):
+        with pytest.raises((UnsupportedGameError, ValidationError)) as exc:
+            call(inst, *question)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         inst = GameInstance(2)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from matchgame import search, strategies
 from matchgame.errors import BudgetExceededError, ValidationError
 from matchgame.game import BitString, GameInstance, _orbit_coordinates
 from matchgame.matchings import enumerate_matchings, matching_count
@@ -251,6 +252,26 @@ class TestCompleteAnchorStrategy:
                 assert entry == base.bob[y]
             else:
                 assert entry == (y.edges[-1], marker)
+
+    def test_enumerates_the_matchings_once(self, monkeypatch):
+        calls = []
+
+        def counted(inst):
+            calls.append(inst.m)
+            return enumerate_matchings(inst)
+
+        monkeypatch.setattr(strategies, "enumerate_matchings", counted)
+        monkeypatch.setattr(search, "enumerate_matchings", counted)
+        complete_anchor_strategy(GameInstance(8))
+        assert calls == [8]
+
+    @pytest.mark.parametrize("m", [8, 10])
+    def test_extends_the_anchor_strategy(self, m):
+        inst = GameInstance(m)
+        base = anchor_strategy(inst)
+        completed = complete_anchor_strategy(inst)
+        assert completed.alice == base.alice
+        assert {y: completed.bob[y] for y in base.bob} == base.bob
 
 
 class TestHillClimb:

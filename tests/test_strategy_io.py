@@ -178,6 +178,11 @@ class TestDiagnostics:
                 parse_strategy("game m=00" + "8" * digits + "\n")
             assert str(exc.value) == f"2**{shown} alice lines exceeds budget 2000000"
 
+    def test_header_m_takes_ascii_digits_only(self):
+        err = err_for("game m=\u0662\nalice 00 -> 0\n")
+        assert (err.line, err.column) == (1, 6)
+        assert "expected m=" in str(err)
+
     def test_bad_b2_width(self):
         err = err_for("game m=2\nbob 0-1 -> 0-1 00\n")
         assert (err.line, err.column) == (2, 16)
