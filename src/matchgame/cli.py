@@ -36,8 +36,10 @@ from .strategy_io import format_strategy, parse_strategy
 
 
 def _read_strategy(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_strategy(text)
+    if path == "-":
+        return parse_strategy(sys.stdin.read())
+    # decoded as standard input is, so bytes that are not UTF-8 fail in the parser
+    return parse_strategy(Path(path).read_text(encoding="utf-8", errors="surrogateescape"))
 
 
 def _emit_strategy(strategy, out: str | None) -> None:

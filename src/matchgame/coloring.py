@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import SIZE_CAP_DIGITS, FormatError, ValidationError, field_error
-from .game import BitString, Edge, GameInstance, _pair_parity
+from .game import BitString, Edge, GameInstance, _pair_parity, _require_in_range
 from .matchings import PerfectMatching
 from .strategies import PartialStrategy, _alice_values, _require_total
 
@@ -52,11 +52,6 @@ ParityFunction = Mapping[Edge, int]
 Coloring = Mapping[int, int]
 
 
-def _require_in_range(e: Edge, vertex_count: int) -> None:
-    if e.j >= vertex_count:
-        raise ValidationError(f"edge {e} out of range for {vertex_count} vertices")
-
-
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected graph on vertices 0..vertex_count-1."""
@@ -75,10 +70,7 @@ class Graph:
     def from_pairs(
         cls, vertex_count: int, pairs: Iterable[Edge | tuple[int, int]]
     ) -> "Graph":
-        edges = frozenset(
-            p if isinstance(p, Edge) else Edge(p[0], p[1]) for p in pairs
-        )
-        return cls(vertex_count, edges)
+        return cls(vertex_count, frozenset(Edge(i, j) for i, j in pairs))
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=lambda e: (e.i, e.j))

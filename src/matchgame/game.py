@@ -208,6 +208,11 @@ def _require_vertices(y: "PerfectMatching", m: int) -> None:
         raise ValidationError(f"matching covers {y.m} vertices, expected {m}")
 
 
+def _require_in_range(e: Edge, vertex_count: int) -> None:
+    if e.j >= vertex_count:
+        raise ValidationError(f"edge {e} out of range for {vertex_count} vertices")
+
+
 def _pair_parity(x, m: int, i, j):
     """x_i xor x_j of m-bit x, an int or int array: x_k is bit m-1-k of x."""
     return ((x >> (m - 1 - i)) ^ (x >> (m - 1 - j))) & 1
@@ -249,8 +254,7 @@ def wins_round(inst: GameInstance, question: Question, answer: Answer) -> bool:
     a, b2, edge = answer.a, answer.b2, answer.edge
     _require_bits(a, inst.n, "a")
     _require_bits(b2, inst.n, "b2")
-    if edge.j >= inst.m:
-        raise ValidationError(f"edge {edge} out of range for m={inst.m}")
+    _require_in_range(edge, inst.m)
     if edge not in y:
         return False
     # enc(k) is k itself as an n-bit value, so enc(i) xor enc(j) is i ^ j

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ValidationError, bounded_product, require_budget
-from .game import Edge, GameInstance
+from .game import Edge, GameInstance, _require_in_range
 
 __all__ = [
     "PerfectMatching",
@@ -111,12 +111,8 @@ def _canonical_key(y: PerfectMatching) -> tuple[tuple[int, int], ...]:
 
 def contains_edge(y: PerfectMatching, edge: Edge | tuple[int, int]) -> bool:
     """Membership test, accepting the pair in either order."""
-    if not isinstance(edge, Edge):
-        i, j = edge
-        if i == j:
-            return False
-        edge = Edge(i, j)
-    return edge in y
+    i, j = edge
+    return i != j and Edge(i, j) in y
 
 
 def validate_matching(
@@ -124,20 +120,16 @@ def validate_matching(
 ) -> PerfectMatching:
     """Checked construction against a specific instance.
 
-    Self-pairs, out-of-range vertices, overlaps, and unmatched vertices are
+    Self-pairs, out-of-range edges, overlaps, and unmatched vertices are
     each reported with their own message.
     """
     normalized: list[Edge] = []
-    for e in edges:
-        if not isinstance(e, Edge):
-            i, j = e
-            if i == j:
-                raise ValidationError(f"self-pair {i}-{j} is not allowed")
-            e = Edge(i, j)
-        normalized.append(e)
+    for i, j in edges:
+        if i == j:
+            raise ValidationError(f"self-pair {i}-{j} is not allowed")
+        normalized.append(Edge(i, j))
     for e in normalized:
-        if e.j >= inst.m:
-            raise ValidationError(f"vertex {e.j} out of range for m={inst.m}")
+        _require_in_range(e, inst.m)
     owner = _owners(normalized)
     missing = [v for v in range(inst.m) if v not in owner]
     if missing:

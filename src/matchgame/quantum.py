@@ -198,37 +198,26 @@ def joint_distribution(
     on disjoint subsystems, so their joint distributions agree; both are
     implemented so that the agreement can be asserted numerically.
     """
-    m = _require_question(inst, x, y)
+    _require_question(inst, x, y)
     psi = _phased_state(inst, x)
     basis, meta = _matching_basis(y)
     hadamard = _hadamard(inst.n)
-    probs: dict[Outcome, float] = {}
+    # outcome[a, col]: probability of Alice's a with Bob's basis row col
     if order == "bob-first":
-        residuals = psi @ basis.T
-        alice_amps = hadamard @ residuals
-        outcome_probs = np.abs(alice_amps) ** 2
-        for col, (edge, sign_bit) in enumerate(meta):
-            b2 = _sign_response(edge, sign_bit, inst.n)
-            for av in range(m):
-                p = float(outcome_probs[av, col])
-                if p > _SUPPORT_EPS:
-                    probs[(BitString(av, inst.n), edge, b2)] = p
+        outcome = np.abs(hadamard @ (psi @ basis.T)) ** 2
     elif order == "alice-first":
         transformed = hadamard @ psi
-        for av in range(m):
-            row = transformed[av]
-            p_a = float(np.sum(np.abs(row) ** 2))
-            if p_a <= _SUPPORT_EPS:
-                continue
-            conditional = row / math.sqrt(p_a)
-            bob_amps = basis @ conditional
-            a = BitString(av, inst.n)
-            for col, (edge, sign_bit) in enumerate(meta):
-                p = p_a * float(np.abs(bob_amps[col]) ** 2)
-                if p > _SUPPORT_EPS:
-                    probs[(a, edge, _sign_response(edge, sign_bit, inst.n))] = p
+        p_a = np.sum(np.abs(transformed) ** 2, axis=1)
+        conditional = transformed / np.sqrt(p_a)[:, None]
+        outcome = p_a[:, None] * np.abs(conditional @ basis.T) ** 2
     else:
         raise ValidationError(f"unknown measurement order {order!r}")
+    probs: dict[Outcome, float] = {}
+    for (edge, sign_bit), column in zip(meta, outcome.T.tolist()):
+        b2 = _sign_response(edge, sign_bit, inst.n)
+        for av, p in enumerate(column):
+            if p > _SUPPORT_EPS:
+                probs[(BitString(av, inst.n), edge, b2)] = p
     return OutcomeDistribution(probs)
 
 

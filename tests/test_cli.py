@@ -369,6 +369,15 @@ def test_non_ascii_digits_are_a_format_error(run_cli, m, edge):
     assert err.startswith("error: line ")
 
 
+@pytest.mark.parametrize("command", ["eval", "verify", "audit"])
+def test_strategy_file_not_utf8_is_a_format_error(run_cli, tmp_path, command):
+    path = tmp_path / "latin1.strat"
+    path.write_bytes(b"game m=2\n\xff\n")
+    code, out, err = run_cli([command, "--strategy", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2, column 1: unknown directive")
+
+
 def test_missing_file_is_usage_error(run_cli, tmp_path):
     code, _, err = run_cli(["eval", "--strategy", str(tmp_path / "nope.strat")])
     assert code == 2

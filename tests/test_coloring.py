@@ -305,6 +305,10 @@ class TestCrossComponentMatching:
         with pytest.raises(ValidationError, match="at least one part"):
             cross_component_matching([])
 
+    def test_empty_part_rejected(self):
+        with pytest.raises(ValidationError, match="parts must be non-empty"):
+            cross_component_matching([{0, 1}, set()])
+
     def test_exhaustive_shapes_up_to_m8(self):
         for m in (2, 4, 6, 8):
             for shape in bounded_partitions(m, m // 2):
@@ -379,6 +383,23 @@ class TestParityGraphFormat:
         with pytest.raises(FormatError) as exc:
             parse_parity_graph("graph n=3\nedge 0-1 h=2\n")
         assert (exc.value.line, exc.value.column) == (2, 10)
+
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("graph n=3\ngraph n=3\n", 2, 1, "duplicate graph header"),
+            ("graph n=3 x\n", 1, 1, "expected 'graph n=<count>'"),
+            ("graph n=3\nedge 0-1\n", 2, 1, "expected 'edge i-j h=<0|1>'"),
+            ("graph n=3\nedge 0-1 h=1\nedge 0-1 h=0\n", 3, 6, "duplicate edge 0-1"),
+            ("graph n=3\n  vertex 2\n", 2, 3, "unknown directive 'vertex'"),
+            ("", 1, 1, "empty graph file: missing 'graph' header"),
+            ("\n  \n", 1, 1, "empty graph file: missing 'graph' header"),
+        ],
+    )
+    def test_each_parse_error_is_positioned(self, text, line, column, message):
+        with pytest.raises(FormatError) as exc:
+            parse_parity_graph(text)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
 
     def test_overlong_header_count_is_refused_by_its_digit_count(self):
         with pytest.raises(FormatError) as exc:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchgame.errors import ValidationError
+from matchgame.coloring import Graph, parse_parity_graph
+from matchgame.errors import FormatError, ValidationError
 from matchgame.game import (
     Answer,
     BitString,
@@ -15,7 +16,7 @@ from matchgame.game import (
     encode_index,
     wins_round,
 )
-from matchgame.matchings import PerfectMatching
+from matchgame.matchings import PerfectMatching, validate_matching
 
 
 def bits(text):
@@ -201,3 +202,20 @@ class TestWinsRound:
     def test_answer_edge_out_of_range(self):
         with pytest.raises(ValidationError):
             wins_round(self.inst, q4("0000", "0-1,2-3"), ans("0-7", "00", "00"))
+
+
+def test_edge_range_refused_alike():
+    inst, message = GameInstance(4), "edge 2-5 out of range for 4 vertices"
+    question = Question(x=bits("0000"), y=PerfectMatching.parse("0-1,2-3"))
+    answer = Answer(edge=Edge(2, 5), a=bits("00"), b2=bits("00"))
+    for call in (
+        lambda: wins_round(inst, question, answer),
+        lambda: validate_matching([(0, 1), (2, 5)], inst),
+        lambda: Graph.from_pairs(4, [(0, 1), (5, 2)]),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        parse_parity_graph("graph n=4\nedge 2-5 h=1\n")
+    assert str(exc.value) == f"line 2, column 6: {message}"

@@ -1,5 +1,6 @@
 """Statevector simulation of the entangled strategy."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -329,3 +330,57 @@ class TestVerifyAlwaysWins:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(UnsupportedGameError):
             verify_always_wins(GameInstance(6))
+
+
+# sha256 of repr(...) over 12 seeded questions per m (random_question with
+# random.Random(18 + m)), captured before both measurement orders shared one
+# support reader: "sorted" pins each order's sorted_items(), "items" pins the
+# bob-first insertion order of items().
+_DISTRIBUTION_PINS = {
+    2: {
+        "sorted": "cb76e46a3de06be38002d0efe4699353a7093681e73e0750f9667ebfbadd8803",
+        "items": "8f5fd87a1c866590e0ebbaa72db3ab30c40ddd4af70ac84930741fef276597b6",
+    },
+    4: {
+        "sorted": "a27b5eb9a39a454707b388a89004e33ad018afcbe559a41dc6858c9cae39fed8",
+        "items": "9e561aa42b6779be5197d57244a4defc03a495b32247ff3feb41d423a83607bd",
+    },
+    8: {
+        "sorted": "97ae4bfc45874dad69339f149dcfb6f31a3f2b166be7bbfcbbe9172c01267c9c",
+        "items": "842620cf958c6fa0c7715b2916c715046d21597c07b94793bd6ad7b21565dde1",
+    },
+}
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestDistributionPinned:
+    @pytest.mark.parametrize("m", sorted(_DISTRIBUTION_PINS))
+    @pytest.mark.parametrize("order", ["bob-first", "alice-first"])
+    def test_sorted_items(self, m, order):
+        inst, rng = GameInstance(m), random.Random(18 + m)
+        questions = [random_question(rng, m) for _ in range(12)]
+        dists = [joint_distribution(inst, x, y, order).sorted_items() for x, y in questions]
+        assert _sha(dists) == _DISTRIBUTION_PINS[m]["sorted"]
+
+    @pytest.mark.parametrize("m", sorted(_DISTRIBUTION_PINS))
+    def test_bob_first_insertion_order(self, m):
+        inst, rng = GameInstance(m), random.Random(18 + m)
+        questions = [random_question(rng, m) for _ in range(12)]
+        dists = [list(joint_distribution(inst, x, y).items()) for x, y in questions]
+        assert _sha(dists) == _DISTRIBUTION_PINS[m]["items"]
+
+    @pytest.mark.parametrize("order", ["bob-first", "alice-first"])
+    def test_support_cut_is_strict(self, monkeypatch, order):
+        # An outcome whose probability equals the cut is dropped (the mass it
+        # carries then fails the sum check); one just below the cut is kept.
+        inst, x, y = GameInstance(4), bits("0110"), PerfectMatching.parse("0-2,1-3")
+        dist = joint_distribution(inst, x, y, order)
+        smallest = min(p for _, p in dist.items())
+        monkeypatch.setattr(quantum, "_SUPPORT_EPS", smallest)
+        with pytest.raises(ValidationError, match="sum to"):
+            joint_distribution(inst, x, y, order)
+        monkeypatch.setattr(quantum, "_SUPPORT_EPS", math.nextafter(smallest, 0))
+        assert joint_distribution(inst, x, y, order).sorted_items() == dist.sorted_items()

@@ -9,8 +9,8 @@ import pytest
 
 from matchgame import search, strategies
 from matchgame.errors import BudgetExceededError, ValidationError
-from matchgame.game import BitString, GameInstance, _orbit_coordinates
-from matchgame.matchings import enumerate_matchings, matching_count
+from matchgame.game import BitString, Edge, GameInstance, _orbit_coordinates
+from matchgame.matchings import PerfectMatching, enumerate_matchings, matching_count
 from matchgame.search import (
     _context,
     alice_best_response,
@@ -105,6 +105,16 @@ class TestAliceBestResponse:
         inst = GameInstance(4)
         with pytest.raises(ValidationError):
             alice_best_response({}, inst)
+
+    def test_bob_table_of_full_size_missing_a_matching_rejected(self):
+        inst = GameInstance(4)
+        bob = dict(known_winning_strategy(4).bob)
+        missing = enumerate_matchings(inst)[0]
+        del bob[missing]
+        stranger = PerfectMatching.parse("0-1")
+        bob[stranger] = (Edge(0, 1), BitString(0, 2))
+        with pytest.raises(ValidationError, match=f"bob table is missing matching {missing}"):
+            alice_best_response(bob, inst)
 
 
 class TestExactOptimum:

@@ -117,6 +117,11 @@ class TestDiagnostics:
         err = err_for("game m=2\nalice 01 = 0\n")
         assert (err.line, err.column) == (2, 10)
 
+    def test_missing_bob_arrow(self):
+        err = err_for("game m=2\nbob 0-1 => 0-1 0\n")
+        assert (err.line, err.column) == (2, 9)
+        assert "expected '->'" in str(err)
+
     def test_wrong_alice_width(self):
         err = err_for("game m=2\nalice 011 -> 0\n")
         assert (err.line, err.column) == (2, 7)
