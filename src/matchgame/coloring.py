@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SIZE_CAP_DIGITS, FormatError, ValidationError, field_error
 from .game import BitString, Edge, GameInstance, _pair_parity, _require_in_range
 from .matchings import PerfectMatching
-from .strategies import PartialStrategy, _alice_values, _require_total
+from .strategies import PartialStrategy, _answered_edges, _require_total
 
 __all__ = [
     "Graph",
@@ -212,7 +212,7 @@ def strings_from_colorings(g: Graph, h: ParityFunction) -> set[BitString]:
 def bob_edge_graph(strategy: PartialStrategy, inst: GameInstance) -> Graph:
     """Graph on {0..m-1} whose edges are every pair Bob ever outputs."""
     _require_total(strategy, inst)
-    return Graph(inst.m, frozenset(edge for edge, _ in strategy.bob.values()))
+    return Graph(inst.m, frozenset(_answered_edges(strategy)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,7 +240,7 @@ def audit_strategy(strategy: PartialStrategy, inst: GameInstance) -> StrategyAud
     """
     _require_total(strategy, inst)
     m, n = inst.m, inst.n
-    avals = _alice_values(strategy.alice, m)
+    avals = strategy.alice_values
     # Largest class; argmax breaks ties toward the smallest answer so the
     # audit is deterministic.
     xs = np.flatnonzero(avals == np.bincount(avals).argmax())

@@ -34,7 +34,8 @@ from .strategies import (
     PartialStrategy,
     SuccessRatio,
     _anchor_tables,
-    _check_bob_entry,
+    _bob_code,
+    _require_instance,
     _require_table_budget,
 )
 
@@ -73,7 +74,7 @@ class _SearchContext:
         _require_table_budget(inst)
         m, n = inst.m, inst.n
         self.inst = inst
-        self.matchings = enumerate_matchings(inst)
+        self.matchings = tuple(enumerate_matchings(inst))
         self.total = (1 << m) * len(self.matchings)
         self.choices = (m // 2) << n
         pairs = list(itertools.combinations(range(m), 2))
@@ -101,8 +102,6 @@ class _SearchContext:
         # (edge, parity) slot of an answer with edge e and that b2
         parity = np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=np.int64)
         self.flip = r[:, None] ^ parity[(i ^ j)[:, None] & np.arange(1 << n)]
-        self.inputs = [BitString(v, m) for v in range(1 << m)]
-        self.answers = [BitString(v, n) for v in range(1 << n)]
 
     def _agree(self, pick: np.ndarray) -> np.ndarray:
         """agree_rep[q, a]: matchings of Bob table ``pick`` that a wins on reps[q].
@@ -133,27 +132,21 @@ class _SearchContext:
             entry = bob.get(y)
             if entry is None:
                 raise ValidationError(f"bob table is missing matching {y}")
-            _check_bob_entry(y, entry, m, n)
-            edge, b2 = entry
-            pick[k] = (y.edges.index(edge) << n) | b2.value
+            pick[k] = _bob_code(y, entry, m, n)
         return pick
 
     def strategy(self, pick: np.ndarray) -> tuple[DeterministicStrategy, int]:
         """Bob table ``pick`` with Alice best-responding, and its win count.
 
         Alice's answer on each input is the smallest argmax of its row,
-        gathered from the representative rows.
+        gathered from the representative rows.  ``pick`` is already Bob's
+        answer codes over the canonical matchings, so the strategy takes the
+        arrays as they are.
         """
-        n = self.inst.n
         agree_rep = self._agree(pick)
-        choice = agree_rep.ravel()[self.gather].argmax(axis=1).tolist()
-        alice = dict(zip(self.inputs, map(self.answers.__getitem__, choice)))
-        bob = {
-            y: (y.edges[p >> n], self.answers[p & ((1 << n) - 1)])
-            for y, p in zip(self.matchings, pick.tolist())
-        }
+        choice = agree_rep.ravel()[self.gather].argmax(axis=1)
         wins = self.orbit * int(agree_rep.max(axis=1).sum())
-        return DeterministicStrategy(self.inst.m, alice, bob), wins
+        return DeterministicStrategy(self.inst.m, choice, (self.matchings, pick)), wins
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +163,7 @@ def alice_best_response(
     """
     ctx = _context(inst.m)
     strategy, wins = ctx.strategy(ctx.pick_from_bob(bob_table))
-    return strategy.alice, SuccessRatio(wins, ctx.total)
+    return dict(strategy.alice), SuccessRatio(wins, ctx.total)
 
 
 def exact_optimum(
@@ -211,12 +204,12 @@ def complete_anchor_strategy(
     The default filler answers the first edge in canonical order with an
     all-zero b2.
     """
-    alice, bob = _anchor_tables(inst)
-    zero = BitString(0, inst.n)
-    for y, entry in bob.items():
-        if entry is None:
-            bob[y] = filler(y) if filler is not None else (y.edges[0], zero)
-    return DeterministicStrategy(inst.m, alice, bob)
+    alice, matchings, codes = _anchor_tables(inst)
+    for k, y in enumerate(matchings):
+        if codes[k] < 0:
+            # code 0: the first edge with an all-zero b2
+            codes[k] = 0 if filler is None else _bob_code(y, filler(y), inst.m, inst.n)
+    return DeterministicStrategy(inst.m, alice, (matchings, codes))
 
 
 def hill_climb(
@@ -240,6 +233,8 @@ def hill_climb(
     _require_table_budget(inst)
     if iterations < 0:
         raise ValidationError(f"iterations must be non-negative, got {iterations}")
+    if start is not None:
+        _require_instance(start, inst)
     ctx = _context(inst.m)
     rng = random.Random(seed)
     size = len(ctx.matchings)

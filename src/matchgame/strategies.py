@@ -4,13 +4,25 @@ A deterministic strategy is a pair of lookup tables: Alice's, total over all
 2^m inputs, and Bob's over perfect matchings.  Bob's table may be partial;
 wherever it is defined his chosen edge must lie in the matching.  Success is
 counted question by question and kept as an exact fraction, never a float.
+
+A strategy stores its tables as arrays.  ``alice_values`` is a read-only
+int64 array over x ascending, holding the value of Alice's answer on x.
+Bob's table is the tuple ``bob_matchings`` of the matchings he answers and
+a read-only int64 array ``bob_codes`` of answer codes, one per matching:
+``code = pos << n | b2`` answers edge ``pos`` of the matching (in its sorted
+edge order) with the n-bit b2 of that value.  ``strategy.alice`` and
+``strategy.bob`` are read-only Mapping views of these arrays (BitString x to
+BitString a, and matching to an (Edge, BitString) pair) that build those
+values only when an entry is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,66 +85,213 @@ class SuccessRatio:
         return f"{self.wins}/{self.total}"
 
 
-def _require_edge(edge: Edge, y: PerfectMatching) -> None:
-    if edge not in y:
-        raise ValidationError(f"bob output {edge} is not an edge of {y}")
+def _require_type(value, cls: type, what: str) -> None:
+    if not isinstance(value, cls):
+        raise ValidationError(
+            f"{what} must be a {cls.__name__}, got {type(value).__name__}"
+        )
 
 
-def _check_bob_entry(y: PerfectMatching, entry: BobEntry, m: int, n: int) -> None:
-    """Raise ValidationError unless ``entry`` is a legal answer of Bob's to y."""
-    edge, b2 = entry
+def _edge_position(edge: Edge, y: PerfectMatching) -> int:
+    """The position of ``edge`` among y's sorted edges; ValidationError if absent."""
+    try:
+        return y.edges.index(edge)
+    except ValueError:
+        raise ValidationError(f"bob output {edge} is not an edge of {y}") from None
+
+
+def _bob_code(y: PerfectMatching, entry: BobEntry, m: int, n: int) -> int:
+    """The answer code pos << n | b2 of Bob's entry on y; ValidationError if illegal."""
+    _require_type(y, PerfectMatching, "bob input")
     _require_vertices(y, m)
-    _require_edge(edge, y)
+    if not (
+        isinstance(entry, tuple)
+        and len(entry) == 2
+        and isinstance(entry[0], Edge)
+        and isinstance(entry[1], BitString)
+    ):
+        raise ValidationError(
+            f"bob output on {y} must be an (Edge, BitString) pair, got {entry!r}"
+        )
+    edge, b2 = entry
+    pos = _edge_position(edge, y)
     _require_bits(b2, n, "b2")
+    return pos << n | b2.value
+
+
+def _int_array(values, what: str) -> np.ndarray:
+    """A read-only int64 copy of ``values``, so the caller keeps no handle on it."""
+    array = np.array(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValidationError(f"{what} must be integers, got {array.dtype}")
+    array = array.astype(np.int64, copy=False)
+    array.flags.writeable = False
+    return array
+
+
+_EDGES = attrgetter("edges")
+
+
+def _checked_tables(
+    m: int, n: int, alice, bob
+) -> tuple[np.ndarray, tuple[PerfectMatching, ...], np.ndarray]:
+    """Alice's answer array, Bob's matchings and his answer codes, checked.
+
+    A Mapping is converted entry by entry, each entry checked as it is read;
+    arrays are checked whole: Alice's answers below 2^n, each code's edge
+    position below m/2 and b2 below 2^n, every matching on m vertices and
+    none repeated.
+    """
+    if len(alice) != 1 << m:
+        raise ValidationError(f"alice table has {len(alice)} entries, needs {1 << m}")
+    if isinstance(alice, Mapping):
+        table = [0] * (1 << m)
+        for x, a in alice.items():
+            _require_type(x, BitString, "alice input")
+            _require_bits(x, m, "alice input")
+            _require_type(a, BitString, "alice output")
+            _require_bits(a, n, "alice output")
+            table[x.value] = a.value
+        alice = table
+    if isinstance(bob, Mapping):
+        bob = tuple(bob), [_bob_code(y, entry, m, n) for y, entry in bob.items()]
+    values = _int_array(alice, "alice answers")
+    matchings, codes = tuple(bob[0]), _int_array(bob[1], "bob answer codes")
+    if values.shape != (1 << m,):
+        raise ValidationError(f"alice table has shape {values.shape}, not ({1 << m},)")
+    bad = np.flatnonzero((values < 0) | (values >= 1 << n))
+    if bad.size:
+        x = int(bad[0])
+        raise ValidationError(
+            f"alice answer {values[x]} on input {BitString(x, m)}"
+            f" does not fit in {n} bits"
+        )
+    if codes.shape != (len(matchings),):
+        raise ValidationError(
+            f"bob table has {len(matchings)} matchings but {codes.size} answer codes"
+        )
+    # pos < m/2 and b2 < 2^n: b2 is the low n bits, so a b2 of 2^n or more
+    # carries into pos
+    bad = np.flatnonzero((codes < 0) | (codes >= (m // 2) << n))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(
+            f"bob answer code {codes[k]} on {matchings[k]} is outside"
+            f" 0..{((m // 2) << n) - 1}"
+        )
+    if not all(map(isinstance, matchings, repeat(PerfectMatching))) or set(
+        map(len, map(_EDGES, matchings))
+    ) - {m // 2}:
+        for y in matchings:  # the first offender, for its message
+            _require_type(y, PerfectMatching, "bob input")
+            _require_vertices(y, m)
+    if len(set(matchings)) != len(matchings):
+        seen: set[PerfectMatching] = set()
+        for y in matchings:
+            if y in seen:
+                raise ValidationError(f"duplicate bob input {y}")
+            seen.add(y)
+    return values, matchings, codes
+
+
+class _AliceView(Mapping):
+    """Read-only Mapping of Alice's table, BitString x to BitString a."""
+
+    __slots__ = ("_values", "_m", "_n")
+
+    def __init__(self, values: np.ndarray, m: int, n: int):
+        self._values, self._m, self._n = values, m, n
+
+    def __getitem__(self, x: BitString) -> BitString:
+        if x not in self:
+            raise KeyError(x)
+        return BitString(int(self._values[x.value]), self._n)
+
+    def __contains__(self, x) -> bool:
+        return isinstance(x, BitString) and x.length == self._m
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[BitString]:
+        return (BitString(v, self._m) for v in range(len(self._values)))
+
+
+class _BobView(Mapping):
+    """Read-only Mapping of Bob's table, matching to (Edge, BitString b2).
+
+    Its matching-to-position index is built on the first lookup by key.
+    """
+
+    __slots__ = ("_matchings", "_codes", "_n", "_index")
+
+    def __init__(
+        self, matchings: tuple[PerfectMatching, ...], codes: np.ndarray, n: int
+    ):
+        self._matchings, self._codes, self._n = matchings, codes, n
+        self._index: dict[PerfectMatching, int] | None = None
+
+    def __getitem__(self, y: PerfectMatching) -> BobEntry:
+        if self._index is None:
+            self._index = dict(zip(self._matchings, range(len(self._matchings))))
+        code, n = int(self._codes[self._index[y]]), self._n
+        return y.edges[code >> n], BitString(code & ((1 << n) - 1), n)
+
+    def __len__(self) -> int:
+        return len(self._matchings)
+
+    def __iter__(self) -> Iterator[PerfectMatching]:
+        return iter(self._matchings)
 
 
 class PartialStrategy:
     """Total Alice table plus a Bob table that may skip some matchings.
 
-    Treat instances as immutable once built; every consumer relies on that,
-    and it is what makes them safe to share across workers.
+    ``alice`` is a Mapping BitString x -> BitString a or an integer array of
+    answer values over x ascending; ``bob`` is a Mapping
+    PerfectMatching -> (Edge, BitString b2) or a pair (matchings, answer
+    codes), as stored (see the module docstring).  Both are copied and
+    checked.  Instances are immutable: the arrays are read-only and the
+    views refuse assignment, which is what makes them safe to share across
+    workers.
     """
 
-    __slots__ = ("m", "alice", "bob")
+    __slots__ = ("m", "alice_values", "bob_matchings", "bob_codes", "alice", "bob")
 
     def __init__(
         self,
         m: int,
-        alice: Mapping[BitString, BitString],
-        bob: Mapping[PerfectMatching, BobEntry],
+        alice: Mapping[BitString, BitString] | np.ndarray,
+        bob: Mapping[PerfectMatching, BobEntry]
+        | tuple[Sequence[PerfectMatching], np.ndarray],
     ):
         n = GameInstance(m).n
-        if len(alice) != 1 << m:
-            raise ValidationError(
-                f"alice table has {len(alice)} entries, needs {1 << m}"
-            )
-        for x, a in alice.items():
-            _require_bits(x, m, "alice input")
-            _require_bits(a, n, "alice output")
-        for y, entry in bob.items():
-            _check_bob_entry(y, entry, m, n)
+        values, matchings, codes = _checked_tables(m, n, alice, bob)
         self.m = m
-        self.alice = dict(alice)
-        self.bob = dict(bob)
+        self.alice_values, self.bob_matchings, self.bob_codes = values, matchings, codes
+        self.alice = _AliceView(values, m, n)
+        self.bob = _BobView(matchings, codes, n)
 
     def defined_on(self, y: PerfectMatching) -> bool:
         return y in self.bob
 
     @property
     def is_total(self) -> bool:
-        return len(self.bob) == matching_count(self.m)
+        return len(self.bob_matchings) == matching_count(self.m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialStrategy):
             return NotImplemented
         return (
-            self.m == other.m and self.alice == other.alice and self.bob == other.bob
+            self.m == other.m
+            and np.array_equal(self.alice_values, other.alice_values)
+            and self.bob == other.bob
         )
 
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} m={self.m}"
-            f" bob={len(self.bob)}/{matching_count(self.m)}>"
+            f" bob={len(self.bob_matchings)}/{matching_count(self.m)}>"
         )
 
 
@@ -144,8 +303,9 @@ class DeterministicStrategy(PartialStrategy):
     def __init__(self, m, alice, bob):
         super().__init__(m, alice, bob)
         if not self.is_total:
+            covered = len(self.bob_matchings)
             raise ValidationError(
-                f"bob table covers {len(self.bob)} of {matching_count(m)} matchings"
+                f"bob table covers {covered} of {matching_count(m)} matchings"
             )
 
 
@@ -159,17 +319,18 @@ def _require_instance(strategy: PartialStrategy, inst: GameInstance) -> None:
 def _require_total(strategy: PartialStrategy, inst: GameInstance) -> None:
     _require_instance(strategy, inst)
     if not strategy.is_total:
+        undefined = matching_count(inst.m) - len(strategy.bob_matchings)
         raise ValidationError(
             "operation needs a total strategy; this partial one leaves"
-            f" {matching_count(inst.m) - len(strategy.bob)} matchings undefined"
+            f" {undefined} matchings undefined"
         )
 
 
-def _alice_values(alice: Mapping[BitString, BitString], m: int) -> np.ndarray:
-    """Alice's answer values as an int64 array over x ascending."""
-    avals = np.empty(1 << m, dtype=np.int64)
-    avals[[x.value for x in alice]] = [a.value for a in alice.values()]
-    return avals
+def _answered_edges(strategy: PartialStrategy) -> list[Edge]:
+    """The edge of Bob's answer on each of his matchings, in stored order."""
+    n = GameInstance(strategy.m).n
+    codes = strategy.bob_codes.tolist()
+    return [y.edges[code >> n] for y, code in zip(strategy.bob_matchings, codes)]
 
 
 _ByParity = tuple[list[PerfectMatching], list[PerfectMatching]]
@@ -185,13 +346,15 @@ def _flips_by_edge(
     x_i xor x_j xor dot(i ^ j, alice[x]), so the answer wins (x, y) exactly
     where flip[x] == p.  One pass over the 2^m inputs per distinct edge.
     """
-    m = inst.m
+    m, n = inst.m, inst.n
     groups: dict[Edge, _ByParity] = {}
-    for y, (edge, b2) in strategy.bob.items():
-        p = ((edge.i ^ edge.j) & b2.value).bit_count() & 1
+    for y, code in zip(strategy.bob_matchings, strategy.bob_codes.tolist()):
+        edge = y.edges[code >> n]
+        # i ^ j < 2^n, so the & reads only the b2 bits of the code
+        p = ((edge.i ^ edge.j) & code).bit_count() & 1
         groups.setdefault(edge, ([], []))[p].append(y)
     xs = np.arange(1 << m, dtype=np.int64)
-    avals = _alice_values(strategy.alice, m)
+    avals = strategy.alice_values
     # parity[v] = popcount(v) mod 2 for every n-bit v
     parity = np.array([v.bit_count() & 1 for v in range(1 << inst.n)], dtype=np.int64)
     for (i, j), by_parity in groups.items():
@@ -259,35 +422,35 @@ def _require_table_budget(inst: GameInstance) -> None:
 
 def _anchor_tables(
     inst: GameInstance,
-) -> tuple[dict[BitString, BitString], dict[PerfectMatching, BobEntry | None]]:
-    """Alice's anchor table, and Bob's anchor answer or None on every matching.
+) -> tuple[np.ndarray, list[PerfectMatching], list[int]]:
+    """Alice's anchor answers, the matchings, and Bob's anchor code on each or -1.
 
     Alice answers the parities x_0 xor x_{2^(n-1)}, ..., x_0 xor x_1, most
     significant first: the orbit offset c of ``_orbit_coordinates``.  Bob's
     answer on a matching containing a pair of anchor indices is the first
-    such pair in edge order with an all-zero b2; elsewhere it is None.
+    such pair in edge order with an all-zero b2; elsewhere his code is -1.
     """
     _require_table_budget(inst)
     m, n = inst.m, inst.n
     _, _, c = _orbit_coordinates(np.arange(1 << m, dtype=np.int64), m)
-    alice = {BitString(xv, m): BitString(a, n) for xv, a in enumerate(c.tolist())}
     anchors = anchor_indices(inst)
-    zero = BitString(0, n)
-    bob: dict[PerfectMatching, BobEntry | None] = {}
-    for y in enumerate_matchings(inst):
-        bob[y] = None
-        for e in y.edges:
+    matchings = enumerate_matchings(inst)
+    codes = []
+    for y in matchings:
+        codes.append(-1)
+        for pos, e in enumerate(y.edges):
             if e.i in anchors and e.j in anchors:
-                bob[y] = (e, zero)
+                codes[-1] = pos << n
                 break
-    return alice, bob
+    return c, matchings, codes
 
 
 def anchor_strategy(inst: GameInstance) -> PartialStrategy:
     """The anchor tables where Bob answers; every such question is won."""
-    alice, bob = _anchor_tables(inst)
-    anchored = {y: entry for y, entry in bob.items() if entry is not None}
-    return PartialStrategy(inst.m, alice, anchored)
+    alice, matchings, codes = _anchor_tables(inst)
+    kept = [k for k, code in enumerate(codes) if code >= 0]
+    bob = tuple(matchings[k] for k in kept), [codes[k] for k in kept]
+    return PartialStrategy(inst.m, alice, bob)
 
 
 def indicator_string(i: int, j: int, inst: GameInstance) -> BitString:

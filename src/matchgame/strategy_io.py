@@ -26,19 +26,27 @@ from .errors import (
 )
 from .game import BitString, Edge, GameInstance, _require_bits, _require_vertices
 from .matchings import PerfectMatching, _canonical_key, matching_count
-from .strategies import DeterministicStrategy, PartialStrategy, _require_edge
+from .strategies import DeterministicStrategy, PartialStrategy, _edge_position
 
 __all__ = ["format_strategy", "parse_strategy"]
 
 
 def format_strategy(strategy: PartialStrategy) -> str:
-    """Render a strategy in canonical line order (header, alice, bob)."""
-    lines = [f"game m={strategy.m}"]
-    for xv in range(1 << strategy.m):
-        x = BitString(xv, strategy.m)
-        lines.append(f"alice {x} -> {strategy.alice[x]}")
-    bob = sorted(strategy.bob.items(), key=lambda kv: _canonical_key(kv[0]))
-    lines += (f"bob {y} -> {edge} {b2}" for y, (edge, b2) in bob)
+    """Render a strategy in canonical line order (header, alice, bob).
+
+    Bit strings are written from the stored values, as BitString prints them.
+    """
+    m = strategy.m
+    n = GameInstance(m).n
+    mask = (1 << n) - 1
+    lines = [f"game m={m}"]
+    answers = strategy.alice_values.tolist()
+    lines += (f"alice {x:0{m}b} -> {a:0{n}b}" for x, a in enumerate(answers))
+    bob = zip(strategy.bob_matchings, strategy.bob_codes.tolist())
+    lines += (
+        f"bob {y} -> {y.edges[code >> n]} {code & mask:0{n}b}"
+        for y, code in sorted(bob, key=lambda entry: _canonical_key(entry[0]))
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -56,8 +64,10 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
     once per file; matchings are built from the parsed edges.
     """
     inst: GameInstance | None = None
-    alice: dict[BitString, BitString] = {}
-    bob: dict[PerfectMatching, tuple[Edge, BitString]] = {}
+    # alice[x] = answer value or None; bob[y] = answer code, in file order
+    alice: list[int | None] = []
+    covered = 0
+    bob: dict[PerfectMatching, int] = {}
     edges, bits = functools.cache(Edge.parse), functools.cache(BitString.parse)
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -84,6 +94,7 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
                 inst = GameInstance(int(digits))
                 alice_lines = bounded_product(2 for _ in range(inst.m))
                 require_budget(alice_lines, f"2**{inst.m}", "{} alice lines")
+                alice = [None] * (1 << inst.m)
             elif inst is None:
                 message = "strategy file must start with 'game m=<m>'"
                 raise field_error(message, line_no, raw, 0)
@@ -100,9 +111,10 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
                 _require_bits(x, inst.m, "alice input")
                 at = 3
                 _require_bits(a, inst.n, "alice output")
-                if x in alice:
+                if alice[x.value] is not None:
                     raise field_error(f"duplicate alice input {x}", line_no, raw, 1)
-                alice[x] = a
+                alice[x.value] = a.value
+                covered += 1
             elif word == "bob":
                 _expect_count(fields, 5, line_no, raw)
                 _, ytok, arrow, etok, btok = fields
@@ -112,25 +124,25 @@ def parse_strategy(text: str) -> PartialStrategy | DeterministicStrategy:
                 y = PerfectMatching(tuple(edges(part) for part in ytok.split(",")))
                 _require_vertices(y, inst.m)
                 at = 3
-                edge = edges(etok)
-                _require_edge(edge, y)
+                pos = _edge_position(edges(etok), y)
                 at = 4
                 b2 = bits(btok)
                 _require_bits(b2, inst.n, "b2")
                 if y in bob:
                     raise field_error(f"duplicate bob input {y}", line_no, raw, 1)
-                bob[y] = (edge, b2)
+                bob[y] = pos << inst.n | b2.value
             else:
                 raise field_error(f"unknown directive {word!r}", line_no, raw, 0)
         except ValidationError as err:
             raise field_error(str(err), line_no, raw, at) from err
     if inst is None:
         raise FormatError("empty strategy file: missing 'game' header", 1, 1)
-    if len(alice) != 1 << inst.m:
+    if covered != 1 << inst.m:
         raise FormatError(
-            f"alice lines cover {len(alice)} of {1 << inst.m} inputs",
+            f"alice lines cover {covered} of {1 << inst.m} inputs",
             line_no + 1,
             1,
         )
-    cls = DeterministicStrategy if len(bob) == matching_count(inst.m) else PartialStrategy
-    return cls(inst.m, alice, bob)
+    total = len(bob) == matching_count(inst.m)
+    cls = DeterministicStrategy if total else PartialStrategy
+    return cls(inst.m, alice, (tuple(bob), list(bob.values())))

@@ -1,0 +1,219 @@
+"""The stored form of a strategy: answer arrays, their checks, and the views."""
+
+import random
+
+import numpy as np
+import pytest
+
+from matchgame import search
+from matchgame.errors import BudgetExceededError, ValidationError
+from matchgame.game import BitString, Edge, GameInstance
+from matchgame.matchings import PerfectMatching, enumerate_matchings
+from matchgame.search import _context, complete_anchor_strategy, hill_climb
+from matchgame.strategies import DeterministicStrategy, PartialStrategy
+from matchgame.strategy_io import format_strategy, parse_strategy
+
+
+def random_pick(ctx, rng):
+    return np.array(
+        [rng.randrange(ctx.choices) for _ in ctx.matchings], dtype=np.int64
+    )
+
+
+def m4_tables():
+    """A valid m=4 table as arrays: Alice's answers, Bob's matchings and codes."""
+    matchings = tuple(enumerate_matchings(GameInstance(4)))
+    return np.arange(16) % 4, matchings, np.array([0, 5, 7])
+
+
+class TestForms:
+    @pytest.mark.parametrize("m", [4, 6, 8, 10])
+    def test_dicts_context_and_file_give_one_strategy(self, m):
+        inst, ctx = GameInstance(m), _context(m)
+        n, mask = inst.n, (1 << inst.n) - 1
+        pick = random_pick(ctx, random.Random(m))
+        from_context, _ = ctx.strategy(pick)
+        alice = {
+            BitString(x, m): BitString(a, n)
+            for x, a in enumerate(from_context.alice_values.tolist())
+        }
+        bob = {
+            y: (y.edges[p >> n], BitString(p & mask, n))
+            for y, p in zip(ctx.matchings, pick.tolist())
+        }
+        shuffled = list(bob.items())
+        random.Random(0).shuffle(shuffled)
+        from_dicts = DeterministicStrategy(m, alice, dict(shuffled))
+        from_file = parse_strategy(format_strategy(from_context))
+        assert from_dicts == from_context == from_file
+        for s in (from_dicts, from_context, from_file):
+            assert dict(s.alice) == alice and dict(s.bob) == bob
+            assert s.alice == alice and s.bob == bob
+            assert DeterministicStrategy(m, dict(s.alice), dict(s.bob)) == s
+
+    def test_context_strategy_builds_no_entry_values(self, monkeypatch):
+        ctx = _context(10)
+        pick = random_pick(ctx, random.Random(1))
+        built = []
+        for cls in (BitString, Edge):
+            post_init = cls.__post_init__
+
+            def counted(self, post_init=post_init):
+                built.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        strategy, _ = ctx.strategy(pick)
+        assert built == []
+        assert strategy.bob_matchings is ctx.matchings
+        assert strategy.bob._index is None
+        strategy.alice[BitString(5, 10)]
+        assert built == ["BitString", "BitString"]
+
+
+class TestImmutability:
+    def test_caller_mutations_do_not_reach_the_strategy(self):
+        s = complete_anchor_strategy(GameInstance(4))
+        alice, bob = dict(s.alice), dict(s.bob)
+        held = PartialStrategy(4, alice, bob)
+        y = next(iter(bob))
+        alice[BitString(0, 4)] = BitString(3, 2)
+        bob[y] = (y.edges[1], BitString(3, 2))
+        del bob[next(iter(s.bob))]
+        assert held == s
+        values, matchings, codes = m4_tables()
+        from_arrays = PartialStrategy(4, values, (list(matchings), codes))
+        values[0], codes[0] = 1, 1
+        assert from_arrays.alice_values[0] == 0 and from_arrays.bob_codes[0] == 0
+
+    def test_views_and_arrays_refuse_writes(self):
+        s = complete_anchor_strategy(GameInstance(4))
+        y = s.bob_matchings[0]
+        with pytest.raises(TypeError):
+            s.alice[BitString(0, 4)] = BitString(1, 2)
+        with pytest.raises(TypeError):
+            s.bob[y] = (y.edges[0], BitString(1, 2))
+        for array in (s.alice_values, s.bob_codes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_views_answer_only_their_own_keys(self):
+        s = complete_anchor_strategy(GameInstance(4))
+        assert BitString(0, 5) not in s.alice and BitString(16, 5) not in s.alice
+        assert PerfectMatching.parse("0-1") not in s.bob
+        with pytest.raises(KeyError):
+            s.alice[BitString(0, 3)]
+        with pytest.raises(KeyError):
+            s.bob[PerfectMatching.parse("0-1,2-3,4-5")]
+
+
+class TestArrayChecks:
+    def test_valid_extremes_accepted(self):
+        values, matchings, codes = m4_tables()
+        values[0], codes[0] = 3, 7  # answer 2^n - 1; last edge with b2 2^n - 1
+        s = DeterministicStrategy(4, values, (matchings, codes))
+        assert s.alice[BitString(0, 4)] == BitString(3, 2)
+        assert s.bob[matchings[0]] == (Edge(2, 3), BitString(3, 2))
+
+    @pytest.mark.parametrize("answer", [4, -1])
+    def test_alice_answer_out_of_range_refused(self, answer):
+        values, matchings, codes = m4_tables()
+        values[9] = answer
+        with pytest.raises(ValidationError, match="alice answer .* on input 1001"):
+            PartialStrategy(4, values, (matchings, codes))
+
+    def test_edge_position_of_half_m_refused(self):
+        values, matchings, codes = m4_tables()
+        codes[1] = 2 << 2  # position m/2 = 2, b2 = 0
+        with pytest.raises(ValidationError, match="bob answer code 8 on 0-2,1-3"):
+            PartialStrategy(4, values, (matchings, codes))
+
+    def test_b2_of_two_to_the_n_refused(self):
+        # b2 is the low n bits of a code, so b2 = 2^n on the last position
+        # carries into a position of m/2
+        values, matchings, codes = m4_tables()
+        codes[2] = (1 << 2) + (1 << 2)
+        with pytest.raises(ValidationError, match="bob answer code 8 on 0-3,1-2"):
+            PartialStrategy(4, values, (matchings, codes))
+
+    def test_negative_code_refused(self):
+        values, matchings, codes = m4_tables()
+        codes[0] = -1
+        with pytest.raises(ValidationError, match="bob answer code -1"):
+            PartialStrategy(4, values, (matchings, codes))
+
+    def test_duplicate_matching_refused(self):
+        values, matchings, codes = m4_tables()
+        repeated = (matchings[0], matchings[1], PerfectMatching.parse("0-2,1-3"))
+        with pytest.raises(ValidationError, match="duplicate bob input 0-2,1-3"):
+            PartialStrategy(4, values, (repeated, codes))
+
+    def test_matching_of_another_size_refused(self):
+        values, matchings, codes = m4_tables()
+        stranger = (matchings[0], PerfectMatching.parse("0-1"), matchings[2])
+        with pytest.raises(ValidationError, match="covers 2 vertices, expected 4"):
+            PartialStrategy(4, values, (stranger, codes))
+
+    def test_shapes_and_dtypes_checked(self):
+        values, matchings, codes = m4_tables()
+        with pytest.raises(ValidationError, match="alice table has 15 entries"):
+            PartialStrategy(4, values[:15], (matchings, codes))
+        with pytest.raises(ValidationError, match="3 matchings but 2 answer codes"):
+            PartialStrategy(4, values, (matchings, codes[:2]))
+        with pytest.raises(ValidationError, match="alice answers must be integers"):
+            PartialStrategy(4, values.astype(float), (matchings, codes))
+        with pytest.raises(ValidationError, match="bob input must be a PerfectMatching"):
+            PartialStrategy(4, values, (("0-1,2-3",) + matchings[1:], codes))
+
+
+class TestEntryTypes:
+    """A Mapping entry of the wrong type is refused with its field's name."""
+
+    def alice(self):
+        return {BitString(v, 4): BitString(0, 2) for v in range(16)}
+
+    def test_alice_input(self):
+        alice = {v: BitString(0, 2) for v in range(16)}
+        with pytest.raises(ValidationError, match="alice input must be a BitString, got int"):
+            PartialStrategy(4, alice, {})
+
+    def test_alice_output(self):
+        alice = {**self.alice(), BitString(3, 4): 0}
+        with pytest.raises(ValidationError, match="alice output must be a BitString, got int"):
+            PartialStrategy(4, alice, {})
+
+    def test_bob_input(self):
+        bob = {"0-1,2-3": (Edge(0, 1), BitString(0, 2))}
+        with pytest.raises(ValidationError, match="bob input must be a PerfectMatching, got str"):
+            PartialStrategy(4, self.alice(), bob)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [Edge(0, 1), (Edge(0, 1), 0), ((0, 1), BitString(0, 2)), (Edge(0, 1),)],
+    )
+    def test_bob_output(self, entry):
+        bob = {PerfectMatching.parse("0-1,2-3"): entry}
+        with pytest.raises(ValidationError, match="bob output on 0-1,2-3 must be"):
+            PartialStrategy(4, self.alice(), bob)
+
+
+class TestHillClimbStart:
+    def test_start_for_another_m_refused_before_the_context_build(self, monkeypatch):
+        start = complete_anchor_strategy(GameInstance(8))
+        monkeypatch.setattr(search, "_context", None)
+        with pytest.raises(ValidationError, match="strategy is for m=8, instance has m=10"):
+            hill_climb(GameInstance(10), 0, 2, start=start)
+        # the size check, then the iteration check, come first
+        with pytest.raises(BudgetExceededError):
+            hill_climb(GameInstance(16), 0, 2, start=start)
+        with pytest.raises(ValidationError, match="non-negative"):
+            hill_climb(GameInstance(10), 0, -1, start=start)
+
+    def test_start_of_the_right_m_is_climbed_from(self):
+        inst = GameInstance(8)
+        start = complete_anchor_strategy(inst)
+        history = []
+        strategy, ratio = hill_climb(inst, 0, 0, start=start, history=history)
+        assert strategy.bob == start.bob
+        assert history == [(ratio.wins, "start")]
