@@ -29,19 +29,45 @@ def _owners(edges: Iterable[Edge]) -> dict[int, Edge]:
     return owner
 
 
+def _is_canonical(edges) -> bool:
+    """True for a non-empty tuple of edges whose first endpoints strictly
+    increase and whose endpoints cover 0..m-1 exactly, m = 2 * len(edges)."""
+    if type(edges) is not tuple or not edges:
+        return False
+    m = 2 * len(edges)
+    prev, covered = -1, 0
+    for e in edges:
+        i, j = e.i, e.j
+        # j < m bounds the shifts; m distinct endpoints below m cover 0..m-1
+        if i <= prev or j >= m:
+            return False
+        prev = i
+        covered |= 1 << i | 1 << j
+    return covered == (1 << m) - 1
+
+
 @dataclass(frozen=True, slots=True)
 class PerfectMatching:
     """Partition of {0..m-1} into m/2 unordered pairs.
 
     Edges are stored sorted by smaller endpoint, which is also the textual
-    order: ``"0-1,2-3"``.  The hash is the dataclass's own, hash((edges,)),
-    computed on first use and kept.
+    order: ``"0-1,2-3"``; edges given in another order are sorted, not
+    refused.  The constructor first makes one cheap pass: a tuple whose
+    first endpoints strictly increase and whose endpoints cover 0..m-1
+    exactly is stored as it is.  Anything else goes through the full
+    normalisation and diagnosis (empty, overlapping, missing or out-of-range
+    vertices), so every message comes from one place.  The hash is the
+    dataclass's own, hash((edges,)), computed on first use and kept.
     """
 
     edges: tuple[Edge, ...]
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _is_canonical(self.edges):
+            self._normalise()
+
+    def _normalise(self) -> None:
         edges = tuple(sorted(self.edges, key=lambda e: (e.i, e.j)))
         object.__setattr__(self, "edges", edges)
         if not edges:
@@ -87,20 +113,20 @@ def enumerate_matchings(inst: GameInstance) -> list[PerfectMatching]:
     come out lexicographically sorted.  The list has (m-1)!! entries.
     """
     require_budget(_bounded_count(inst.m), f"{inst.m - 1}!!", "{} matchings")
+    m = inst.m
+    # one Edge per pair, shared by every matching that contains it
+    edge = [[Edge(i, j) if i < j else None for j in range(m)] for i in range(m)]
     out: list[PerfectMatching] = []
-    acc: list[Edge] = []
 
-    def extend(unmatched: tuple[int, ...]) -> None:
+    def extend(prefix: tuple[Edge, ...], unmatched: tuple[int, ...]) -> None:
         if not unmatched:
-            out.append(PerfectMatching(tuple(acc)))
+            out.append(PerfectMatching(prefix))
             return
         lo, rest = unmatched[0], unmatched[1:]
         for k, partner in enumerate(rest):
-            acc.append(Edge(lo, partner))
-            extend(rest[:k] + rest[k + 1 :])
-            acc.pop()
+            extend(prefix + (edge[lo][partner],), rest[:k] + rest[k + 1 :])
 
-    extend(tuple(range(inst.m)))
+    extend((), tuple(range(m)))
     return out
 
 

@@ -8,14 +8,35 @@ everything from the statevector simulator, ``joint_distribution``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import re
 
 import numpy as np
 
-from matchgame.game import Answer, BitString, Question, wins_round
-from matchgame.matchings import enumerate_matchings
+from matchgame.errors import (
+    SIZE_CAP,
+    SIZE_CAP_DIGITS,
+    FormatError,
+    ValidationError,
+    bounded_product,
+    field_error,
+    require_budget,
+)
+from matchgame.game import (
+    Answer,
+    BitString,
+    Edge,
+    GameInstance,
+    Question,
+    _require_bits,
+    _require_vertices,
+    wins_round,
+)
+from matchgame.matchings import PerfectMatching, enumerate_matchings, matching_count
 from matchgame.quantum import joint_distribution
+from matchgame.strategies import DeterministicStrategy, PartialStrategy, _edge_position
 
 
 def recursive_matching_count(m: int) -> int:
@@ -165,3 +186,104 @@ def simulated_always_wins(inst) -> bool:
                 if not wins_round(inst, question, Answer(edge=edge, a=a, b2=b2)):
                     return False
     return True
+
+
+
+def _reference_expect_count(fields, count, line_no, raw):
+    if len(fields) > count:
+        raise field_error("unexpected trailing text", line_no, raw, count)
+    if len(fields) < count:
+        raise field_error("truncated line", line_no, raw, len(fields))
+
+
+def reference_parse_strategy(text: str):
+    """Reference strategy-file parser, one field check after another.
+
+    Every alice field is parsed to a BitString and goes through the field
+    validators before it is stored, and every bob line is tested for a
+    duplicate before it is inserted.  ``parse_strategy`` must return the same
+    strategies and raise the same errors, at the same line and column.
+    """
+    inst: GameInstance | None = None
+    # alice[x] = answer value or None; bob[y] = answer code, in file order
+    alice: list[int | None] = []
+    covered = 0
+    bob: dict[PerfectMatching, int] = {}
+    edges, bits = functools.cache(Edge.parse), functools.cache(BitString.parse)
+    line_no = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        word, at = fields[0], 0
+        # Values go through the strategy types' own checks; ``at`` follows the
+        # field being read, so their errors point at it.
+        try:
+            if word == "game":
+                if inst is not None:
+                    raise field_error("duplicate game header", line_no, raw, 0)
+                _reference_expect_count(fields, 2, line_no, raw)
+                at = 1
+                match = re.fullmatch(r"m=([0-9]+)", fields[1])
+                if not match:
+                    raise field_error("expected m=<even integer>", line_no, raw, 1)
+                digits = match.group(1).lstrip("0") or "0"
+                if len(digits) > SIZE_CAP_DIGITS:
+                    # too long to convert or to print: only its length is written
+                    formula = f"2**m (m of {len(digits)} digits)"
+                    require_budget(SIZE_CAP, formula, "{} alice lines")
+                inst = GameInstance(int(digits))
+                alice_lines = bounded_product(2 for _ in range(inst.m))
+                require_budget(alice_lines, f"2**{inst.m}", "{} alice lines")
+                alice = [None] * (1 << inst.m)
+            elif inst is None:
+                message = "strategy file must start with 'game m=<m>'"
+                raise field_error(message, line_no, raw, 0)
+            elif word == "alice":
+                _reference_expect_count(fields, 4, line_no, raw)
+                _, xtok, arrow, atok = fields
+                if arrow != "->":
+                    raise field_error("expected '->'", line_no, raw, 2)
+                at = 1
+                x = BitString.parse(xtok)
+                at = 3
+                a = bits(atok)
+                at = 1
+                _require_bits(x, inst.m, "alice input")
+                at = 3
+                _require_bits(a, inst.n, "alice output")
+                if alice[x.value] is not None:
+                    raise field_error(f"duplicate alice input {x}", line_no, raw, 1)
+                alice[x.value] = a.value
+                covered += 1
+            elif word == "bob":
+                _reference_expect_count(fields, 5, line_no, raw)
+                _, ytok, arrow, etok, btok = fields
+                if arrow != "->":
+                    raise field_error("expected '->'", line_no, raw, 2)
+                at = 1
+                y = PerfectMatching(tuple(edges(part) for part in ytok.split(",")))
+                _require_vertices(y, inst.m)
+                at = 3
+                pos = _edge_position(edges(etok), y)
+                at = 4
+                b2 = bits(btok)
+                _require_bits(b2, inst.n, "b2")
+                if y in bob:
+                    raise field_error(f"duplicate bob input {y}", line_no, raw, 1)
+                bob[y] = pos << inst.n | b2.value
+            else:
+                raise field_error(f"unknown directive {word!r}", line_no, raw, 0)
+        except ValidationError as err:
+            raise field_error(str(err), line_no, raw, at) from err
+    if inst is None:
+        raise FormatError("empty strategy file: missing 'game' header", 1, 1)
+    if covered != 1 << inst.m:
+        raise FormatError(
+            f"alice lines cover {covered} of {1 << inst.m} inputs",
+            line_no + 1,
+            1,
+        )
+    total = len(bob) == matching_count(inst.m)
+    cls = DeterministicStrategy if total else PartialStrategy
+    return cls(inst.m, alice, (tuple(bob), list(bob.values())))

@@ -103,3 +103,54 @@ def test_parse_rejects_junk():
     for text in ("", "0-1,", "0:1", "0-1 2-3"):
         with pytest.raises(ValidationError):
             PerfectMatching.parse(text)
+
+
+class TestConstructorChecks:
+    """The constructor's one cheap pass and its fall-back diagnosis."""
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ((), "a matching needs at least one edge"),
+            ((Edge(0, 1), Edge(1, 2)), "vertex 1 appears in both 0-1 and 1-2"),
+            ((Edge(0, 1), Edge(0, 2)), "vertex 0 appears in both 0-1 and 0-2"),
+            (
+                (Edge(0, 1), Edge(2, 5)),
+                "matching must cover 0..3 exactly (missing [3], out of range [5])",
+            ),
+            (
+                (Edge(0, 1), Edge(2, 10**30)),
+                "matching must cover 0..3 exactly"
+                f" (missing [3], out of range [{10**30}])",
+            ),
+            (
+                (Edge(0, 3), Edge(1, 2), Edge(4, 70)),
+                "matching must cover 0..5 exactly (missing [5], out of range [70])",
+            ),
+        ],
+    )
+    def test_messages(self, edges, message):
+        with pytest.raises(ValidationError) as exc:
+            PerfectMatching(edges)
+        assert str(exc.value) == message
+
+    def test_unsorted_edges_are_normalised(self):
+        for edges in ((Edge(2, 3), Edge(0, 1)), [Edge(0, 1), Edge(2, 3)]):
+            y = PerfectMatching(edges)
+            assert y.edges == (Edge(0, 1), Edge(2, 3))
+            assert type(y.edges) is tuple
+        y = PerfectMatching((Edge(1, 4), Edge(2, 5), Edge(0, 3)))
+        assert str(y) == "0-3,1-4,2-5"
+
+    def test_unsorted_overlap_is_reported_after_sorting(self):
+        message = "vertex 2 appears in both 0-2 and 2-3"
+        with pytest.raises(ValidationError, match=message):
+            PerfectMatching((Edge(2, 3), Edge(0, 2)))
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_enumerated_matchings_equal_constructed_ones(self, m):
+        for y in enumerate_matchings(GameInstance(m)):
+            built, parsed = PerfectMatching(y.edges), PerfectMatching.parse(str(y))
+            assert built == y == parsed
+            assert hash(built) == hash(y) == hash(parsed)
+            assert type(y.edges) is tuple

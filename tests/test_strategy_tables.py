@@ -10,8 +10,9 @@ from matchgame.errors import BudgetExceededError, ValidationError
 from matchgame.game import BitString, Edge, GameInstance
 from matchgame.matchings import PerfectMatching, enumerate_matchings
 from matchgame.search import _context, complete_anchor_strategy, hill_climb
-from matchgame.strategies import DeterministicStrategy, PartialStrategy
+from matchgame.strategies import DeterministicStrategy, PartialStrategy, anchor_strategy
 from matchgame.strategy_io import format_strategy, parse_strategy
+from test_strategy_io import _sha256, _shuffled_file
 
 
 def random_pick(ctx, rng):
@@ -217,3 +218,43 @@ class TestHillClimbStart:
         strategy, ratio = hill_climb(inst, 0, 0, start=start, history=history)
         assert strategy.bob == start.bob
         assert history == [(ratio.wins, "start")]
+
+    def test_partial_start_refused(self):
+        inst = GameInstance(8)
+        message = "bob table covers 81 of 105 matchings"
+        with pytest.raises(ValidationError, match=message):
+            hill_climb(inst, 0, 2, start=anchor_strategy(inst))
+
+    # ratio, sha256 of the formatted strategy and of repr(history), recorded
+    # while a start went through pick_from_bob
+    @pytest.mark.parametrize(
+        "m,seed,iters,ratio,strategy_sha,history_sha",
+        [
+            (
+                6, 2, 40, "864/960",
+                "1485c49aaf6497db85f5f8b618294414323ee6b7a719b1342465bfd8b661a681",
+                "d7d126c996c7b61e5734334d006ca7e314750d199fde3b5179c78e773f084daf",
+            ),
+            (
+                8, 3, 60, "16256/26880",
+                "d4a762782b5ab70de5f57a59e098586f538b180667e448001c50ad4bd57839b7",
+                "707df36aca4b7e8256b5cbf20bea62390aedee563660011dec2d6c72dcd85422",
+            ),
+            (
+                10, 5, 8, "516064/967680",
+                "c25a56faffdc88fd2aa43ce80c54fb3612145318d3fba3a3c274b0291ed01c5e",
+                "160593ba895b5d9cc9be6871b336f25086973cc6262c8ef8c1693d06a10a19ed",
+            ),
+        ],
+    )
+    def test_climbs_from_canonical_and_shuffled_starts_are_pinned(
+        self, m, seed, iters, ratio, strategy_sha, history_sha
+    ):
+        inst = GameInstance(m)
+        first, _ = hill_climb(inst, 1, 3)
+        for start in (first, parse_strategy(_shuffled_file(first, m))):
+            history = []
+            strategy, got = hill_climb(inst, seed, iters, start=start, history=history)
+            assert str(got) == ratio
+            assert _sha256(format_strategy(strategy)) == strategy_sha
+            assert _sha256(repr(history)) == history_sha
