@@ -68,6 +68,9 @@ class _SearchContext:
     smallest argmax of x', so strategy() gathers each input's full row,
     agree[x, a] = agree_rep[rep(x), a ^ c(x)], from the representative rows
     and takes Alice's tie-broken choice from it.
+
+    Changing one matching's answer moves one count down and one up, and
+    moved() rescores it as that rank-one update of the agree rows.
     """
 
     def __init__(self, inst: GameInstance):
@@ -111,15 +114,32 @@ class _SearchContext:
         on x wins such a matching when x_i xor x_j == p xor dot(i ^ j, a), so
         agree_rep[q, a] = rep_side[q] . counts[flip[:, a]].
         """
-        n = self.inst.n
-        edge = np.take_along_axis(self.edge_ids, (pick >> n)[:, None], axis=1)[:, 0]
-        slot = self.flip[2 * edge, pick & ((1 << n) - 1)]
+        slot = self._slot(np.arange(len(pick)), pick)
         counts = np.bincount(slot, minlength=len(self.flip))
         return self.rep_side @ counts[self.flip]
 
+    def _slot(self, k, code):
+        """flip[2e, b2]: the (edge, parity) slot of answer ``code`` to matching k."""
+        n = self.inst.n
+        return self.flip[2 * self.edge_ids[k, code >> n], code & ((1 << n) - 1)]
+
+    def moved(self, agree: np.ndarray, k: int, old: int, new: int) -> np.ndarray:
+        """``agree`` after matching k's answer moves from code ``old`` to ``new``.
+
+        counts[s_old] falls and counts[s_new] rises by one.  flip[:, a] is its
+        own inverse, so column a gains rep_side[:, flip[s_new, a]] and loses
+        rep_side[:, flip[s_old, a]]: exactly the rows _agree() would return.
+        """
+        side, flip = self.rep_side, self.flip
+        return agree - side[:, flip[self._slot(k, old)]] + side[:, flip[self._slot(k, new)]]
+
+    def best(self, agree: np.ndarray) -> int:
+        """Best-response win count of the representative rows ``agree``."""
+        return self.orbit * int(agree.max(axis=1).sum())
+
     def wins(self, pick: np.ndarray) -> int:
         """Best-response win count of Bob table ``pick``, over the representatives."""
-        return self.orbit * int(self._agree(pick).max(axis=1).sum())
+        return self.best(self._agree(pick))
 
     def pick_from_bob(self, bob: Mapping[PerfectMatching, BobEntry]) -> np.ndarray:
         if len(bob) != len(self.matchings):
@@ -145,13 +165,38 @@ class _SearchContext:
         """
         agree_rep = self._agree(pick)
         choice = agree_rep.ravel()[self.gather].argmax(axis=1)
-        wins = self.orbit * int(agree_rep.max(axis=1).sum())
-        return DeterministicStrategy(self.inst.m, choice, (self.matchings, pick)), wins
+        strategy = DeterministicStrategy(self.inst.m, choice, (self.matchings, pick))
+        return strategy, self.best(agree_rep)
 
 
 @lru_cache(maxsize=None)
 def _context(m: int) -> _SearchContext:
     return _SearchContext(GameInstance(m))
+
+
+def _draws_below(rng: random.Random, bound: int, count: int) -> np.ndarray:
+    """``[rng.randrange(bound) for _ in range(count)]``, drawn in batches.
+
+    randrange(bound) takes the top bound.bit_length() bits of one 32-bit word
+    per try and retries while they reach ``bound``.  Each value takes at least
+    one word, so this draws one word per missing value, keeps those below
+    ``bound`` and repeats: it never reads past randrange's last word, and the
+    values and the generator state match randrange's (the tests pin this).
+    """
+    if not 1 <= bound < 1 << 32:
+        raise ValueError(f"bound must be in [1, 2**32), got {bound}")
+    shift = 32 - bound.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        need = count - done
+        # getrandbits fills its result from the least significant word up
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values = np.frombuffer(words, dtype="<u4") >> shift
+        values = values[values < bound]
+        out[done : done + len(values)] = values
+        done += len(values)
+    return out
 
 
 def alice_best_response(
@@ -228,6 +273,11 @@ def hill_climb(
     is deterministic.  When ``history`` is a list, a (wins, kind) pair is
     appended for every evaluation, with kind one of "start", "restart",
     "accept", "reject".
+
+    Starts and restarts are scored in full, a proposal by the rank-one update
+    of the current agree rows (_SearchContext.moved), with the same exact
+    count.  Random tables come from _draws_below, CPython's randrange
+    restated in batches, so the draws are one randrange call per matching.
     """
     # the closed-form checks before the context build, the size check first
     _require_table_budget(inst)
@@ -239,36 +289,39 @@ def hill_climb(
     rng = random.Random(seed)
     size = len(ctx.matchings)
 
-    def random_pick() -> np.ndarray:
-        draws = [rng.randrange(ctx.choices) for _ in range(size)]
-        return np.array(draws, dtype=np.int64)
-
     def note(wins: int, kind: str) -> None:
         if history is not None:
             history.append((wins, kind))
 
-    current = ctx.pick_from_bob(start.bob) if start is not None else random_pick()
-    cur_wins = ctx.wins(current)
+    if start is not None:
+        current = ctx.pick_from_bob(start.bob)
+    else:
+        current = _draws_below(rng, ctx.choices, size)
+    agree = ctx._agree(current)
+    cur_wins = ctx.best(agree)
     note(cur_wins, "start")
     best_wins, best_pick = cur_wins, current
     for it in range(iterations):
         if best_wins == ctx.total:
             break
         if it and it % _RESTART_EVERY == 0:
-            current = random_pick()
-            cur_wins = ctx.wins(current)
+            current = _draws_below(rng, ctx.choices, size)
+            agree = ctx._agree(current)
+            cur_wins = ctx.best(agree)
             note(cur_wins, "restart")
         else:
             k = rng.randrange(size)
+            old = int(current[k])
             alt = rng.randrange(ctx.choices)
-            while alt == current[k]:
+            while alt == old:
                 alt = rng.randrange(ctx.choices)
-            candidate = current.copy()
-            candidate[k] = alt
-            wins = ctx.wins(candidate)
+            moved = ctx.moved(agree, k, old, alt)
+            wins = ctx.best(moved)
             if wins > cur_wins:
                 note(wins, "accept")
-                current, cur_wins = candidate, wins
+                current = current.copy()  # best_pick may hold the old table
+                current[k] = alt
+                agree, cur_wins = moved, wins
             else:
                 note(wins, "reject")
         if cur_wins > best_wins:

@@ -237,6 +237,23 @@ def test_search_labels_lower_bound(run_cli, tmp_path):
     assert out_path.read_text() == first
 
 
+
+def test_search_across_restarts_pinned(run_cli, tmp_path):
+    # 150 iterations at m = 12 cross two restarts; stdout and the --out file
+    # were recorded before random tables were drawn in batches.
+    args = ["search", "--m", "12", "--seed", "3", "--iters", "150"]
+    code, out, _ = run_cli(args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e2c330e2de100231fd2d6ae8e957721c52628bb3059694d1170fe69e05b21c35"
+    )
+    out_path = tmp_path / "best.strat"
+    code, out, _ = run_cli(args + ["--out", str(out_path)])
+    assert (code, out) == (0, "best=21705824/42577920\nbound=lower\n")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "769067489d09c4eaf4f8bf02feafc652b861598d1c3d746d18b67b3a4a6eb88b"
+    )
+
 _NEGATIVE_COUNTS = {
     "iters": ["search", "--m", "4", "--seed", "0", "--iters", "-5"],
     "rounds": [

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgame import search, strategies
 from matchgame.errors import BudgetExceededError, ValidationError
@@ -13,6 +15,7 @@ from matchgame.game import BitString, Edge, GameInstance, _orbit_coordinates
 from matchgame.matchings import PerfectMatching, enumerate_matchings, matching_count
 from matchgame.search import (
     _context,
+    _draws_below,
     alice_best_response,
     complete_anchor_strategy,
     exact_optimum,
@@ -226,6 +229,59 @@ class TestOrbitScoring:
                 assert ctx.wins(pick) == full == success(strategy, inst).wins
 
 
+class TestRankOneUpdate:
+    """A proposal's rows, updated in place of a rebuild, equal the rebuilt ones."""
+
+    @pytest.mark.parametrize("m", range(2, 13, 2))
+    def test_flip_is_its_own_inverse(self, m):
+        # moved() reads the slots that flip[:, a] maps onto s as flip[s, a]
+        flip = _context(m).flip
+        rows = np.arange(len(flip))[:, None]
+        assert (np.take_along_axis(flip, flip, axis=0) == rows).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.sampled_from([2, 4, 6, 8, 10]),
+        seed=st.integers(0, 2**32 - 1),
+        moves=st.lists(st.tuples(st.integers(0), st.integers(0)), min_size=1, max_size=4),
+    )
+    def test_moved_rows_equal_full_rescoring(self, m, seed, moves):
+        ctx = _context(m)
+        rng = random.Random(seed)
+        pick = np.array(
+            [rng.randrange(ctx.choices) for _ in ctx.matchings], dtype=np.int64
+        )
+        agree = ctx._agree(pick)
+        for k, new in moves:
+            k, new = k % len(pick), new % ctx.choices
+            agree = ctx.moved(agree, k, int(pick[k]), new)
+            pick = pick.copy()
+            pick[k] = new
+            assert (agree == ctx._agree(pick)).all()
+            assert ctx.best(agree) == ctx.wins(pick)
+
+
+class TestBatchedDraws:
+    """_draws_below gives randrange's values and leaves the generator alike."""
+
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 3, 32, 80, 96, 105, 128, 2**31, 2**32 - 1]
+    )
+    def test_equals_randrange(self, bound):
+        for seed in range(100):
+            for count in (1, 7, 945):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                drawn = _draws_below(ours, bound, count)
+                assert drawn.dtype == np.int64
+                assert drawn.tolist() == [theirs.randrange(bound) for _ in range(count)]
+                assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("bound", [0, 2**32])
+    def test_bound_out_of_range_refused(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            _draws_below(random.Random(0), bound, 3)
+
+
 class TestCompleteAnchorStrategy:
     def test_m4_needs_no_filling(self):
         inst = GameInstance(4)
@@ -415,6 +471,21 @@ _GOLDEN = {
         "48/48",
         "85dcbfae182d2e87fa639fe301469efb0c9ec39c9238b4b0a6dbc1f206cbae39",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    # Climbs that cross the restart at iteration 64, where a fresh table is
+    # drawn at choices = 80 (m = 10) and 96 (m = 12); recorded before random
+    # tables were drawn in batches and proposals scored by a rank-one update.
+    "climb-m10-seed1-restarts": (
+        _climb(10, 1, 200),
+        "521440/967680",
+        "0d7b20ea21581f1b099a5f31445599de4d31a47cb6d133e0e376a7347c54b390",
+        "43fb1b1344d4fe0f7d5f94a434568258930736e0f3593b0e5f0db776f6af66bc",
+    ),
+    "climb-m12-seed0-restarts": (
+        _climb(12, 0, 70),
+        "21642176/42577920",
+        "bd59ddc714eb8c593e2c5bf573f7eb5cbe734b54231cd41a56049dde0b60eadd",
+        "ed672c193bd102a6111140f3273fd64305d7ffdc10ad6f70fa4a6bdb770ac78a",
     ),
 }
 
