@@ -36,10 +36,10 @@ from .strategy_io import format_strategy, parse_strategy
 
 
 def _read_strategy(path: str):
-    if path == "-":
-        return parse_strategy(sys.stdin.read())
-    # decoded as standard input is, so bytes that are not UTF-8 fail in the parser
-    return parse_strategy(Path(path).read_text(encoding="utf-8", errors="surrogateescape"))
+    # UTF-8 with surrogateescape for a file and for standard input, whatever
+    # the locale, so bytes that are not UTF-8 fail in the parser
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return parse_strategy(data.decode("utf-8", "surrogateescape"))
 
 
 def _emit_strategy(strategy, out: str | None) -> None:

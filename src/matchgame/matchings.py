@@ -29,21 +29,25 @@ def _owners(edges: Iterable[Edge]) -> dict[int, Edge]:
     return owner
 
 
-def _is_canonical(edges) -> bool:
-    """True for a non-empty tuple of edges whose first endpoints strictly
-    increase and whose endpoints cover 0..m-1 exactly, m = 2 * len(edges)."""
+def _canonical_rank(edges) -> int | None:
+    """Index in enumerate_matchings of a non-empty edge tuple whose first
+    endpoints strictly increase and whose endpoints cover 0..m-1 exactly,
+    m = 2 * len(edges), else None.  Edge t's digit, in radix m-1-2t, counts
+    the vertices left between i, the lowest one left, and its partner j."""
     if type(edges) is not tuple or not edges:
-        return False
+        return None
     m = 2 * len(edges)
-    prev, covered = -1, 0
+    prev, covered, rank, radix = -1, 0, 0, m - 1
     for e in edges:
         i, j = e.i, e.j
         # j < m bounds the shifts; m distinct endpoints below m cover 0..m-1
         if i <= prev or j >= m:
-            return False
+            return None
         prev = i
+        rank = rank * radix + (~covered & ((1 << j) - (2 << i))).bit_count()
+        radix -= 2
         covered |= 1 << i | 1 << j
-    return covered == (1 << m) - 1
+    return rank if covered == (1 << m) - 1 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,16 +60,19 @@ class PerfectMatching:
     first endpoints strictly increase and whose endpoints cover 0..m-1
     exactly is stored as it is.  Anything else goes through the full
     normalisation and diagnosis (empty, overlapping, missing or out-of-range
-    vertices), so every message comes from one place.  The hash is the
-    dataclass's own, hash((edges,)), computed on first use and kept.
+    vertices), so every message comes from one place.  That pass also gives
+    ``rank``, the index in enumerate_matchings: the hash and the sort key.
     """
 
     edges: tuple[Edge, ...]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_canonical(self.edges):
+        rank = _canonical_rank(self.edges)
+        if rank is None:
             self._normalise()
+            rank = _canonical_rank(self.edges)
+        object.__setattr__(self, "rank", rank)
 
     def _normalise(self) -> None:
         edges = tuple(sorted(self.edges, key=lambda e: (e.i, e.j)))
@@ -83,9 +90,7 @@ class PerfectMatching:
             )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.edges,)))
-        return self._hash
+        return self.rank
 
     @classmethod
     def parse(cls, text: str) -> "PerfectMatching":
@@ -130,11 +135,6 @@ def enumerate_matchings(inst: GameInstance) -> list[PerfectMatching]:
     return out
 
 
-def _canonical_key(y: PerfectMatching) -> tuple[tuple[int, int], ...]:
-    """Sort key of the canonical order: the edge sequence as (i, j) pairs."""
-    return tuple((e.i, e.j) for e in y.edges)
-
-
 def contains_edge(y: PerfectMatching, edge: Edge | tuple[int, int]) -> bool:
     """Membership test, accepting the pair in either order."""
     i, j = edge
@@ -164,8 +164,9 @@ def validate_matching(
 
 
 def matching_count(m: int) -> int:
-    """(m-1)!!, the number of perfect matchings on m points, without enumerating."""
-    return math.prod(range(m - 1, 0, -2))
+    """(m-1)!!, the number of perfect matchings on m points, without
+    enumerating; m is checked as GameInstance checks it."""
+    return math.prod(range(GameInstance(m).m - 1, 0, -2))
 
 
 def _bounded_count(m: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -81,12 +82,13 @@ class _SearchContext:
         self.total = (1 << m) * len(self.matchings)
         self.choices = (m // 2) << n
         pairs = list(itertools.combinations(range(m), 2))
-        edge_id = {pair: k for k, pair in enumerate(pairs)}
-        # edge_ids[k, pos] = id of edge pos of matching k
-        self.edge_ids = np.array(
-            [[edge_id[e.i, e.j] for e in y.edges] for y in self.matchings],
-            dtype=np.int64,
+        # edge_ids[k, pos] = id of edge pos of matching k: (i, j)'s index in pairs
+        edges = list(
+            itertools.chain.from_iterable(map(attrgetter("edges"), self.matchings))
         )
+        ei = np.fromiter(map(attrgetter("i"), edges), np.int64, len(edges))
+        ej = np.fromiter(map(attrgetter("j"), edges), np.int64, len(edges))
+        self.edge_ids = (ei * (2 * m - 1 - ei) // 2 + ej - ei - 1).reshape(-1, m // 2)
         # row or column r = 2e + u stands for edge e = pairs[r >> 1] and bit u
         i, j = np.repeat(np.array(pairs, dtype=np.int64), 2, axis=0).T
         r = np.arange(len(i), dtype=np.int64)

@@ -39,7 +39,6 @@ from .game import (
 from .matchings import (
     PerfectMatching,
     _bounded_count,
-    _canonical_key,
     enumerate_matchings,
     matching_count,
 )
@@ -129,7 +128,7 @@ def _int_array(values, what: str) -> np.ndarray:
     return array
 
 
-_EDGES = attrgetter("edges")
+_EDGES, _RANK = attrgetter("edges"), attrgetter("rank")
 
 
 def _checked_tables(
@@ -185,12 +184,11 @@ def _checked_tables(
         for y in matchings:  # the first offender, for its message
             _require_type(y, PerfectMatching, "bob input")
             _require_vertices(y, m)
-    if len(set(matchings)) != len(matchings):
-        seen: set[PerfectMatching] = set()
-        for y in matchings:
-            if y in seen:
-                raise ValidationError(f"duplicate bob input {y}")
-            seen.add(y)
+    ranks = np.fromiter(map(_RANK, matchings), np.int64, len(matchings))
+    _, first = np.unique(ranks, return_index=True)
+    if len(first) != len(matchings):
+        k = np.setdiff1d(np.arange(len(matchings)), first)[0]  # the first repeat
+        raise ValidationError(f"duplicate bob input {matchings[k]}")
     return values, matchings, codes
 
 
@@ -381,9 +379,8 @@ def find_counterexample(
 ) -> tuple[BitString, PerfectMatching] | None:
     """First losing question in canonical order, or None.
 
-    Canonical order is x ascending, then matchings in enumeration order,
-    which is lexicographic on edge sequences: the smallest first losing x
-    over Bob's answers, tied toward the lexicographically smallest matching.
+    Canonical order is x ascending, then matching rank: the smallest first
+    losing x over Bob's answers, tied toward the smallest rank.
     An answer of parity p first loses at the first x with flip[x] != p (see
     _flips_by_edge), so each edge's answers need one pass.  Questions where
     Bob is undefined are skipped.
@@ -400,7 +397,7 @@ def find_counterexample(
         return None
     first = min(xv for xv, _ in losses)
     tied = (y for xv, ys in losses if xv == first for y in ys)
-    return BitString(first, inst.m), min(tied, key=_canonical_key)
+    return BitString(first, inst.m), min(tied, key=_RANK)
 
 
 def verify_winning(strategy: PartialStrategy, inst: GameInstance) -> bool:

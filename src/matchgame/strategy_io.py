@@ -32,7 +32,7 @@ from .errors import (
     require_budget,
 )
 from .game import BitString, Edge, GameInstance, _require_bits, _require_vertices
-from .matchings import PerfectMatching, _canonical_key, matching_count
+from .matchings import PerfectMatching, matching_count
 from .strategies import DeterministicStrategy, PartialStrategy, _edge_position
 
 __all__ = ["format_strategy", "parse_strategy"]
@@ -51,7 +51,7 @@ def format_strategy(strategy: PartialStrategy) -> str:
     bob = zip(strategy.bob_matchings, strategy.bob_codes.tolist())
     lines += (
         f"bob {y} -> {y.edges[code >> n]} {code & mask:0{n}b}\n"
-        for y, code in sorted(bob, key=lambda entry: _canonical_key(entry[0]))
+        for y, code in sorted(bob, key=lambda entry: entry[0].rank)
     )
     return "".join(lines)
 

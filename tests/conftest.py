@@ -10,7 +10,9 @@ def run_cli(capsys, monkeypatch):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
 
     def run(args, stdin_text=""):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # a text stream over bytes, as the real standard input is
+        stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         try:
             code = main(list(args))
         except SystemExit as exc:

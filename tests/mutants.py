@@ -1,0 +1,105 @@
+"""The mutant registry: hand-written faults that the named tests must catch.
+
+Each mutant replaces one exact text in one module of the ``matchgame``
+package by another.  Applied alone, it must make at least one of its
+``killers`` (pytest node ids, relative to the repository root) fail.
+``tests/test_mutants.py`` checks in tier-1 that every old text still occurs
+exactly once, so the registry breaks loudly when the code moves;
+``tests/run_mutants.py`` applies the mutants and runs their killers.
+
+A change that adds a fast path or a check adds its mutant here.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # relative to the matchgame package directory
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "rank-radix-m-minus-2t",
+        "matchings.py",
+        "prev, covered, rank, radix = -1, 0, 0, m - 1",
+        "prev, covered, rank, radix = -1, 0, 0, m",
+        ("tests/test_matchings.py::test_rank_is_the_enumeration_index",),
+    ),
+    Mutant(
+        "rank-counts-covered-vertices",
+        "matchings.py",
+        "rank = rank * radix + (~covered & ((1 << j) - (2 << i))).bit_count()",
+        "rank = rank * radix + (covered & ((1 << j) - (2 << i))).bit_count()",
+        ("tests/test_matchings.py::test_rank_is_the_enumeration_index",),
+    ),
+    Mutant(
+        "rank-normalise-keeps-none",
+        "matchings.py",
+        "            self._normalise()\n            rank = _canonical_rank(self.edges)\n",
+        "            self._normalise()\n",
+        (
+            "tests/test_matchings.py::TestConstructorChecks"
+            "::test_enumerated_matchings_equal_constructed_ones",
+        ),
+    ),
+    Mutant(
+        "canonical-pass-without-coverage",
+        "matchings.py",
+        "return rank if covered == (1 << m) - 1 else None",
+        "return rank",
+        ("tests/test_matchings.py::TestConstructorChecks::test_messages",),
+    ),
+    Mutant(
+        "duplicate-names-smallest-rank-repeat",
+        "strategies.py",
+        "k = np.setdiff1d(np.arange(len(matchings)), first)[0]",
+        "repeats = np.setdiff1d(np.arange(len(matchings)), first)\n"
+        "        k = repeats[ranks[repeats].argmin()]",
+        (
+            "tests/test_strategy_tables.py::TestArrayChecks"
+            "::test_first_repeat_in_input_order_is_named",
+        ),
+    ),
+    Mutant(
+        "edge-ids-off-by-one",
+        "search.py",
+        "(ei * (2 * m - 1 - ei) // 2 + ej - ei - 1)",
+        "(ei * (2 * m - 1 - ei) // 2 + ej - ei)",
+        ("tests/test_search.py::test_edge_ids_index_the_pairs",),
+    ),
+    Mutant(
+        "moved-without-old-slot",
+        "search.py",
+        "return agree - side[:, flip[self._slot(k, old)]] + side[:, flip[self._slot(k, new)]]",
+        "return agree + side[:, flip[self._slot(k, new)]]",
+        ("tests/test_search.py::TestRankOneUpdate::test_moved_rows_equal_full_rescoring",),
+    ),
+    Mutant(
+        "draws-without-rejection",
+        "search.py",
+        "        values = values[values < bound]\n",
+        "",
+        ("tests/test_search.py::TestBatchedDraws::test_equals_randrange",),
+    ),
+    Mutant(
+        "alice-line-without-x-length",
+        "strategy_io.py",
+        "                    and len(fields[1]) == m\n",
+        "",
+        (
+            "tests/test_strategy_io.py::TestAgainstReferenceParser"
+            "::test_mutated_files_parse_alike",
+        ),
+    ),
+    Mutant(
+        "bob-line-without-duplicate-check",
+        "strategy_io.py",
+        "                if y in bob:\n",
+        "                if False:\n",
+        ("tests/test_strategy_io.py::TestDiagnostics::test_duplicate_bob_line",),
+    ),
+)

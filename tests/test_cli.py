@@ -393,6 +393,11 @@ def test_strategy_file_not_utf8_is_a_format_error(run_cli, tmp_path, command):
     code, out, err = run_cli([command, "--strategy", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: line 2, column 1: unknown directive")
+    # standard input follows the same rule, even where it decodes strictly
+    strict = {"PYTHONIOENCODING": "utf-8:strict"}
+    code, out, err = _run_module([command], path.read_bytes(), strict)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2, column 1: unknown directive")
 
 
 def test_missing_file_is_usage_error(run_cli, tmp_path):
@@ -405,23 +410,28 @@ def test_unknown_command_is_usage_error(run_cli):
     assert code == 2
 
 
-def _run_module(args):
-    """(exit code, stdout) of ``python -m matchgame`` in a fresh process."""
+def _run_module(args, stdin=b"", env=()):
+    """(exit code, stdout, stderr) of ``python -m matchgame`` in a fresh
+    process, reading the bytes ``stdin``, with ``env`` added to its environment."""
     # The child must import the same package, installed or not.
     root = str(Path(matchgame.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+    env = {
+        **os.environ,
+        "PYTHONPATH": root + (os.pathsep + path if path else ""),
+        **dict(env),
+    }
     proc = subprocess.run(
         [sys.executable, "-m", "matchgame", *args],
+        input=stdin,
         capture_output=True,
-        text=True,
         env=env,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 def test_console_entry_point_via_module():
-    code, out = _run_module(["certificate", "--m", "8"])
+    code, out, _ = _run_module(["certificate", "--m", "8"])
     assert code == 0
     assert out == "excluded=true needed=5 possible=4\n"
 
@@ -442,7 +452,7 @@ def test_cached_parser_keeps_no_state_between_calls(run_cli, tmp_path):
     assert [code for code, _ in results] == [0, 0, 0, 2, 0]
     assert "game m=4" in results[1][1].splitlines()
     assert len(results[2][1].splitlines()) == 1
-    assert results == [_run_module(args) for args in steps]
+    assert results == [_run_module(args)[:2] for args in steps]
 
 
 # Exit code and sha256 of stdout for a matrix of commands; "A < B" feeds B's

@@ -30,6 +30,21 @@ def test_counts(m, count):
     assert matching_count(m) == count
 
 
+@pytest.mark.parametrize("m", [-2, 0, 1, 3, 5])
+def test_matching_count_refuses_what_game_instance_refuses(m):
+    with pytest.raises(ValidationError) as refused:
+        GameInstance(m)
+    with pytest.raises(ValidationError) as exc:
+        matching_count(m)
+    assert str(exc.value) == str(refused.value)
+
+
+@pytest.mark.parametrize("m", range(2, 13, 2))
+def test_rank_is_the_enumeration_index(m):
+    ranks = [y.rank for y in enumerate_matchings(GameInstance(m))]
+    assert ranks == list(range(matching_count(m)))
+
+
 def test_counts_match_recursive_oracle_up_to_12():
     for m in range(2, 13, 2):
         out = enumerate_matchings(GameInstance(m))
@@ -151,6 +166,9 @@ class TestConstructorChecks:
     def test_enumerated_matchings_equal_constructed_ones(self, m):
         for y in enumerate_matchings(GameInstance(m)):
             built, parsed = PerfectMatching(y.edges), PerfectMatching.parse(str(y))
-            assert built == y == parsed
-            assert hash(built) == hash(y) == hash(parsed)
+            # edges out of order take the normalising path, built or parsed
+            reversed_ = PerfectMatching(y.edges[::-1])
+            reparsed = PerfectMatching.parse(",".join(map(str, y.edges[::-1])))
+            for other in (built, parsed, reversed_, reparsed):
+                assert (other, hash(other), other.rank) == (y, hash(y), y.rank)
             assert type(y.edges) is tuple

@@ -229,6 +229,16 @@ class TestOrbitScoring:
                 assert ctx.wins(pick) == full == success(strategy, inst).wins
 
 
+@pytest.mark.parametrize("m", range(2, 13, 2))
+def test_edge_ids_index_the_pairs(m):
+    # edge_ids[k, pos]: edge pos of matching k as its index among the pairs i < j
+    ctx = _context(m)
+    index = {pair: k for k, pair in enumerate(itertools.combinations(range(m), 2))}
+    expected = [[index[e.i, e.j] for e in y.edges] for y in ctx.matchings]
+    assert ctx.edge_ids.dtype == np.int64
+    assert ctx.edge_ids.tolist() == expected
+
+
 class TestRankOneUpdate:
     """A proposal's rows, updated in place of a rebuild, equal the rebuilt ones."""
 

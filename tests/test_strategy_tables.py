@@ -150,6 +150,13 @@ class TestArrayChecks:
         with pytest.raises(ValidationError, match="duplicate bob input 0-2,1-3"):
             PartialStrategy(4, values, (repeated, codes))
 
+    def test_first_repeat_in_input_order_is_named(self):
+        # 0-3,1-2 repeats before 0-1,2-3 does, although its rank is larger
+        values, matchings, _ = m4_tables()
+        repeated = (matchings[2], matchings[0], matchings[2], matchings[0])
+        with pytest.raises(ValidationError, match="duplicate bob input 0-3,1-2$"):
+            PartialStrategy(4, values, (repeated, np.zeros(4, dtype=np.int64)))
+
     def test_matching_of_another_size_refused(self):
         values, matchings, codes = m4_tables()
         stranger = (matchings[0], PerfectMatching.parse("0-1"), matchings[2])
