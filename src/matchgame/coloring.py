@@ -23,7 +23,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import SIZE_CAP_DIGITS, FormatError, ValidationError, field_error
-from .game import BitString, Edge, GameInstance, _pair_parity, _require_in_range
+from .game import (
+    BitString,
+    Edge,
+    GameInstance,
+    _pair_parity,
+    _require_edge,
+    _require_in_range,
+)
 from .matchings import PerfectMatching
 from .strategies import PartialStrategy, _answered_edges, _require_total
 
@@ -64,6 +71,7 @@ class Graph:
         if self.vertex_count < 1:
             raise ValidationError("graph needs at least one vertex")
         for e in self.edges:
+            _require_edge(e, "Graph.from_pairs")
             _require_in_range(e, self.vertex_count)
 
     @classmethod

@@ -14,6 +14,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -37,6 +38,16 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """value as an int: Python and numpy integers pass, anything else is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True, slots=True)
 class BitString:
     """Fixed-width binary word, most significant bit first.
@@ -50,6 +61,10 @@ class BitString:
     length: int
 
     def __post_init__(self):
+        # one BitString per sampled quantum round: plain ints skip the call
+        if type(self.value) is not int or type(self.length) is not int:
+            object.__setattr__(self, "value", _integer(self.value, "bit string value"))
+            object.__setattr__(self, "length", _integer(self.length, "bit string length"))
         if self.length < 1:
             raise ValidationError("bit string length must be positive")
         if not 0 <= self.value < (1 << self.length):
@@ -118,14 +133,13 @@ class Edge:
     j: int
 
     def __post_init__(self):
-        if self.i == self.j:
-            raise ValidationError(f"edge endpoints must differ, got {self.i}-{self.j}")
-        if self.i < 0 or self.j < 0:
+        i, j = _integer(self.i, "edge endpoint"), _integer(self.j, "edge endpoint")
+        if i == j:
+            raise ValidationError(f"edge endpoints must differ, got {i}-{j}")
+        if i < 0 or j < 0:
             raise ValidationError("edge endpoints must be nonnegative")
-        if self.i > self.j:
-            lo, hi = self.j, self.i
-            object.__setattr__(self, "i", lo)
-            object.__setattr__(self, "j", hi)
+        object.__setattr__(self, "i", min(i, j))
+        object.__setattr__(self, "j", max(i, j))
 
     @classmethod
     def parse(cls, text: str) -> "Edge":
@@ -158,6 +172,7 @@ class GameInstance:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.m < 2 or self.m % 2:
             raise ValidationError(f"m must be an even integer >= 2, got {self.m}")
 
@@ -198,6 +213,13 @@ def dot(u: BitString, v: BitString) -> int:
 
 
 # Shape checks shared by every boundary that accepts bit strings or matchings.
+def _require_edge(e, pairs_entry: str) -> None:
+    if not isinstance(e, Edge):
+        raise ValidationError(
+            f"expected an Edge, got {type(e).__name__} {e!r}; {pairs_entry} takes pairs"
+        )
+
+
 def _require_bits(s: BitString, length: int, what: str) -> None:
     if s.length != length:
         raise ValidationError(f"{what} has {s.length} bits, expected {length}")
@@ -214,8 +236,16 @@ def _require_in_range(e: Edge, vertex_count: int) -> None:
 
 
 def _pair_parity(x, m: int, i, j):
-    """x_i xor x_j of m-bit x, an int or int array: x_k is bit m-1-k of x."""
+    """x_i xor x_j of m-bit x, an int or int array: x_k is bit m-1-k of x.
+
+    The input-side parity primitive of the win rule; _parity is the answer side.
+    """
     return ((x >> (m - 1 - i)) ^ (x >> (m - 1 - j))) & 1
+
+
+def _parity(n: int) -> np.ndarray:
+    """The win rule's answer-side parity: dot(u, v) = parity[u & v] for u, v < 2^n."""
+    return np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=np.int64)
 
 
 def _orbit_coordinates(x: np.ndarray, m: int):
@@ -232,13 +262,8 @@ def _orbit_coordinates(x: np.ndarray, m: int):
     k = (x >> (m - 1)) & 1
     c = sum(_pair_parity(x, m, 0, 1 << b) << b for b in range(n))
     # shift[v] = l_v: bit m-1-i holds dot(i, v)
-    shift = np.array(
-        [
-            sum(((i & v).bit_count() & 1) << (m - 1 - i) for i in range(m))
-            for v in range(1 << n)
-        ],
-        dtype=np.int64,
-    )
+    v, i = np.arange(1 << n)[:, None], np.arange(m)
+    shift = (_parity(n)[v & i] << (m - 1 - i)).sum(axis=1)
     return x ^ shift[c] ^ (k * ((1 << m) - 1)), k, c
 
 

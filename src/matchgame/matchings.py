@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ValidationError, bounded_product, require_budget
-from .game import Edge, GameInstance, _require_in_range
+from .game import Edge, GameInstance, _require_edge, _require_in_range
 
 __all__ = [
     "PerfectMatching",
@@ -68,14 +68,20 @@ class PerfectMatching:
     rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rank = _canonical_rank(self.edges)
+        try:
+            rank = _canonical_rank(self.edges)
+        except AttributeError:  # a member that is not an Edge: _normalise names it
+            rank = None
         if rank is None:
             self._normalise()
             rank = _canonical_rank(self.edges)
         object.__setattr__(self, "rank", rank)
 
     def _normalise(self) -> None:
-        edges = tuple(sorted(self.edges, key=lambda e: (e.i, e.j)))
+        edges = tuple(self.edges)
+        for e in edges:
+            _require_edge(e, "validate_matching")
+        edges = tuple(sorted(edges, key=lambda e: (e.i, e.j)))
         object.__setattr__(self, "edges", edges)
         if not edges:
             raise ValidationError("a matching needs at least one edge")

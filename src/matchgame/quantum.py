@@ -44,6 +44,7 @@ from .game import (
     GameInstance,
     Question,
     _pair_parity,
+    _parity,
     _require_bits,
     _require_vertices,
     wins_round,
@@ -142,11 +143,8 @@ def shared_state(inst: GameInstance) -> StateVector:
 
 @lru_cache(maxsize=None)
 def _hadamard(n: int) -> np.ndarray:
-    dim = 1 << n
-    signs = np.array(
-        [[(r & c).bit_count() & 1 for c in range(dim)] for r in range(dim)]
-    )
-    mat = np.where(signs, -1.0, 1.0) / math.sqrt(dim)
+    r = np.arange(1 << n)
+    mat = np.where(_parity(n)[r[:, None] & r], -1.0, 1.0) / math.sqrt(1 << n)
     mat.setflags(write=False)
     return mat
 

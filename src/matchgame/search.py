@@ -27,7 +27,7 @@ from .errors import (
     bounded_product,
     require_budget,
 )
-from .game import BitString, GameInstance, _orbit_coordinates, _pair_parity
+from .game import BitString, GameInstance, _orbit_coordinates, _pair_parity, _parity
 from .matchings import PerfectMatching, _bounded_count, enumerate_matchings
 from .strategies import (
     BobEntry,
@@ -105,8 +105,7 @@ class _SearchContext:
         self.gather = (position << n)[:, None] | (c[:, None] ^ np.arange(1 << n))
         # flip[r, a] = 2e + (u xor dot(i ^ j, a)), so flip[2e, b2] is the
         # (edge, parity) slot of an answer with edge e and that b2
-        parity = np.array([v.bit_count() & 1 for v in range(1 << n)], dtype=np.int64)
-        self.flip = r[:, None] ^ parity[(i ^ j)[:, None] & np.arange(1 << n)]
+        self.flip = r[:, None] ^ _parity(n)[(i ^ j)[:, None] & np.arange(1 << n)]
 
     def _agree(self, pick: np.ndarray) -> np.ndarray:
         """agree_rep[q, a]: matchings of Bob table ``pick`` that a wins on reps[q].

@@ -33,6 +33,7 @@ from .game import (
     GameInstance,
     _orbit_coordinates,
     _pair_parity,
+    _parity,
     _require_bits,
     _require_vertices,
 )
@@ -352,9 +353,7 @@ def _flips_by_edge(
         p = ((edge.i ^ edge.j) & code).bit_count() & 1
         groups.setdefault(edge, ([], []))[p].append(y)
     xs = np.arange(1 << m, dtype=np.int64)
-    avals = strategy.alice_values
-    # parity[v] = popcount(v) mod 2 for every n-bit v
-    parity = np.array([v.bit_count() & 1 for v in range(1 << inst.n)], dtype=np.int64)
+    avals, parity = strategy.alice_values, _parity(n)
     for (i, j), by_parity in groups.items():
         yield by_parity, _pair_parity(xs, m, i, j) ^ parity[(i ^ j) & avals]
 

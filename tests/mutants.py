@@ -102,4 +102,107 @@ MUTANTS = (
         "                if False:\n",
         ("tests/test_strategy_io.py::TestDiagnostics::test_duplicate_bob_line",),
     ),
+    Mutant(
+        "orbit-multiplier",
+        "search.py",
+        "self.orbit = 1 << (n + 1)",
+        "self.orbit = 1 << n",
+        (
+            "tests/test_search.py::TestOrbitScoring"
+            "::test_reduced_count_equals_full_count_and_recount",
+        ),
+    ),
+    Mutant(
+        "c-reverse-bit-order",
+        "game.py",
+        "<< b for b in range(n))",
+        "<< (n - 1 - b) for b in range(n))",
+        ("tests/test_strategies.py::TestAnchorStrategy::test_alice_values",),
+    ),
+    Mutant(
+        "rep-without-complement",
+        "game.py",
+        "return x ^ shift[c] ^ (k * ((1 << m) - 1)), k, c",
+        "return x ^ shift[c], k, c",
+        ("tests/test_search.py::TestOrbitScoring::test_representatives_meet_every_orbit_once",),
+    ),
+    Mutant(
+        "success-odd-as-even",
+        "strategies.py",
+        "len(even) * (size - ones) + len(odd) * ones",
+        "(len(even) + len(odd)) * (size - ones)",
+        (
+            "tests/test_strategies.py::TestPerEdgeScoring"
+            "::test_random_total_strategies_match_the_oracles",
+        ),
+    ),
+    Mutant(
+        "parity-low-bit",
+        "game.py",
+        "[v.bit_count() & 1 for v in range(1 << n)]",
+        "[v & 1 for v in range(1 << n)]",
+        (
+            "tests/test_search.py::TestOrbitScoring"
+            "::test_reduced_count_equals_full_count_and_recount",
+        ),
+    ),
+    Mutant(
+        "integer-fields-kept-as-given",
+        "game.py",
+        "        return operator.index(value)\n",
+        "        return value\n",
+        ("tests/test_game.py::test_integer_fields",),
+    ),
+    Mutant(
+        "bit-string-length-skips-index",
+        "game.py",
+        "if type(self.value) is not int or type(self.length) is not int:",
+        "if type(self.value) is not int:",
+        ("tests/test_game.py::test_integer_fields",),
+    ),
+    Mutant(
+        "edge-members-unchecked",
+        "game.py",
+        "    if not isinstance(e, Edge):\n",
+        "    if False:\n",
+        (
+            "tests/test_matchings.py::TestConstructorChecks::test_messages",
+            "tests/test_coloring.py::TestGraphBasics::test_members_must_be_edges",
+        ),
+    ),
+    Mutant(
+        "canonical-pass-lets-attribute-error-out",
+        "matchings.py",
+        "        except AttributeError:",
+        "        except KeyError:",
+        ("tests/test_matchings.py::TestConstructorChecks::test_messages",),
+    ),
+    Mutant(
+        "parity-bit-unchecked",
+        "coloring.py",
+        "        if bit not in (0, 1):\n",
+        "        if False:\n",
+        ("tests/test_coloring.py::TestCountColorings::test_domain_mismatch_rejected",),
+    ),
+    Mutant(
+        "zero-total-accepted",
+        "strategies.py",
+        "        if self.total <= 0:\n",
+        "        if False:\n",
+        ("tests/test_strategies.py::TestSuccessRatio::test_bounds_checked",),
+    ),
+    Mutant(
+        "alice-shape-unchecked",
+        "strategies.py",
+        "    if values.shape != (1 << m,):\n",
+        "    if False:\n",
+        ("tests/test_strategy_tables.py::TestArrayChecks::test_shapes_and_dtypes_checked",),
+    ),
+    Mutant(
+        "amplitudes-not-square",
+        "quantum.py",
+        "        if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:\n",
+        "        if False:\n",
+        ("tests/test_quantum.py::TestSharedState::test_norm_validated",),
+    ),
 )

@@ -50,6 +50,12 @@ class TestGraphBasics:
         with pytest.raises(ValidationError):
             Graph(0, frozenset())
 
+    def test_members_must_be_edges(self):
+        message = r"expected an Edge, got tuple \(0, 1\); Graph.from_pairs takes pairs"
+        with pytest.raises(ValidationError, match=message):
+            Graph(4, frozenset({(0, 1)}))
+        assert Graph.from_pairs(4, [(0, 1)]) == Graph(4, frozenset({Edge(0, 1)}))
+
     def test_components_examples(self):
         assert components(graph(4)) == [
             frozenset({0}),
@@ -112,6 +118,8 @@ class TestCountColorings:
             count_colorings(g, {})
         with pytest.raises(ValidationError):
             count_colorings(g, {Edge(0, 1): 0, Edge(1, 2): 0})
+        with pytest.raises(ValidationError, match="parity of 0-1 must be 0 or 1, got 2"):
+            count_colorings(g, {Edge(0, 1): 2})
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(20240817)

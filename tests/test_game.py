@@ -1,5 +1,8 @@
 """Round rules: bit strings, index encoding, the GF(2) dot, adjudication."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,6 +105,29 @@ class TestGameInstance:
     def test_rejects_bad_sizes(self, m):
         with pytest.raises(ValidationError):
             GameInstance(m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        GameInstance,
+        lambda k: BitString(k, 3),
+        lambda k: BitString(1, k),
+        lambda k: Edge(k, 5),
+        lambda k: Edge(0, k),
+    ],
+    ids=["m", "bit-value", "bit-length", "edge-i", "edge-j"],
+)
+def test_integer_fields(build):
+    """Numpy integers are stored as int; anything that is not an integer is refused."""
+    for k in (np.int64(4), np.uint8(4), np.int32(4)):
+        built = build(k)
+        assert built == build(4) and hash(built) == hash(build(4))
+        assert str(built) == str(build(4))
+        assert all(type(getattr(built, f.name)) is int for f in dataclasses.fields(built))
+    for bad in (4.0, np.float64(4), "4", None):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build(bad)
 
 
 class TestEncodeIndex:

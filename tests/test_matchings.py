@@ -142,6 +142,10 @@ class TestConstructorChecks:
                 (Edge(0, 3), Edge(1, 2), Edge(4, 70)),
                 "matching must cover 0..5 exactly (missing [5], out of range [70])",
             ),
+            (
+                ((0, 1), (2, 3)),
+                "expected an Edge, got tuple (0, 1); validate_matching takes pairs",
+            ),
         ],
     )
     def test_messages(self, edges, message):

@@ -1,5 +1,7 @@
-"""The mutant registry stays applicable: each old text occurs exactly once."""
+"""The mutant registry stays applicable: each old text occurs exactly once,
+and each killer names a test class and function that its file defines."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -22,4 +24,8 @@ def test_old_text_occurs_once(mutant):
     assert mutant.new != mutant.old
     assert mutant.killers
     for killer in mutant.killers:
-        assert (ROOT / killer.split("::")[0]).is_file()
+        path, *classes, function = killer.split("::")
+        source = (ROOT / path).read_text()
+        for name in classes:
+            assert re.search(rf"^\s*class {name}\b", source, re.M), killer
+        assert re.search(rf"^\s*def {function.split('[')[0]}\(", source, re.M), killer

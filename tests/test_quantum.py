@@ -80,6 +80,9 @@ class TestSharedState:
     def test_norm_validated(self):
         with pytest.raises(ValidationError):
             StateVector(np.eye(2, dtype=complex))
+        # unit norm, so only the shape check refuses it
+        with pytest.raises(ValidationError, match="amplitudes must form a square matrix"):
+            StateVector(np.full((2, 3), 1 / np.sqrt(6)))
 
 
 class TestJointDistribution:

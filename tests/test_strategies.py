@@ -78,6 +78,8 @@ class TestSuccessRatio:
             SuccessRatio(49, 48)
         with pytest.raises(ValidationError):
             SuccessRatio(-1, 48)
+        with pytest.raises(ValidationError, match="total question count must be positive"):
+            SuccessRatio(0, 0)
 
 
 class TestKnownWinningStrategies:

@@ -167,6 +167,9 @@ class TestArrayChecks:
         values, matchings, codes = m4_tables()
         with pytest.raises(ValidationError, match="alice table has 15 entries"):
             PartialStrategy(4, values[:15], (matchings, codes))
+        # 16 rows pass the length check; only the shape check refuses them
+        with pytest.raises(ValidationError, match=r"alice table has shape \(16, 1\)"):
+            PartialStrategy(4, values.reshape(16, 1), (matchings, codes))
         with pytest.raises(ValidationError, match="3 matchings but 2 answer codes"):
             PartialStrategy(4, values, (matchings, codes[:2]))
         with pytest.raises(ValidationError, match="alice answers must be integers"):
