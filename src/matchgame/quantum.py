@@ -211,11 +211,12 @@ def joint_distribution(
     else:
         raise ValidationError(f"unknown measurement order {order!r}")
     probs: dict[Outcome, float] = {}
+    answers = [BitString(av, inst.n) for av in range(inst.m)]
     for (edge, sign_bit), column in zip(meta, outcome.T.tolist()):
         b2 = _sign_response(edge, sign_bit, inst.n)
-        for av, p in enumerate(column):
+        for a, p in zip(answers, column):
             if p > _SUPPORT_EPS:
-                probs[(BitString(av, inst.n), edge, b2)] = p
+                probs[(a, edge, b2)] = p
     return OutcomeDistribution(probs)
 
 
