@@ -27,6 +27,7 @@ from .game import (
     BitString,
     Edge,
     GameInstance,
+    _integer,
     _pair_parity,
     _require_edge,
     _require_in_range,
@@ -68,6 +69,7 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "vertex_count", _integer(self.vertex_count, "vertex count"))
         if self.vertex_count < 1:
             raise ValidationError("graph needs at least one vertex")
         for e in self.edges:

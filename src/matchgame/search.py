@@ -27,7 +27,7 @@ from .errors import (
     bounded_product,
     require_budget,
 )
-from .game import BitString, GameInstance, _orbit_coordinates, _pair_parity, _parity
+from .game import BitString, GameInstance, _integer, _orbit_coordinates, _pair_parity, _parity
 from .matchings import PerfectMatching, _bounded_count, enumerate_matchings
 from .strategies import (
     BobEntry,
@@ -36,6 +36,7 @@ from .strategies import (
     SuccessRatio,
     _anchor_tables,
     _bob_code,
+    _require_covering,
     _require_instance,
     _require_table_budget,
 )
@@ -56,7 +57,9 @@ class _SearchContext:
 
     A Bob table is an int64 array ``pick`` over the canonical matchings:
     ``pick[k] = pos * 2^n + b2`` answers edge ``pos`` of matching k with b2.
-    It is scored only through the histogram of (edge, dot(i ^ j, b2)) pairs.
+    Strategies store Bob's table in rank order, so a total strategy's
+    ``bob_codes`` is its pick.  It is scored only through the histogram of
+    (edge, dot(i ^ j, b2)) pairs.
 
     Win counts are read from one input per symmetry orbit.  The map
     x -> x ^ l_c ^ k*1^m, with l_c(i) = dot(i, c), shifts every x_i xor x_j
@@ -142,27 +145,11 @@ class _SearchContext:
         """Best-response win count of Bob table ``pick``, over the representatives."""
         return self.best(self._agree(pick))
 
-    def pick_from_bob(self, bob: Mapping[PerfectMatching, BobEntry]) -> np.ndarray:
-        if len(bob) != len(self.matchings):
-            raise ValidationError(
-                f"bob table covers {len(bob)} of {len(self.matchings)} matchings"
-            )
-        m, n = self.inst.m, self.inst.n
-        pick = np.empty(len(self.matchings), dtype=np.int64)
-        for k, y in enumerate(self.matchings):
-            entry = bob.get(y)
-            if entry is None:
-                raise ValidationError(f"bob table is missing matching {y}")
-            pick[k] = _bob_code(y, entry, m, n)
-        return pick
-
     def strategy(self, pick: np.ndarray) -> tuple[DeterministicStrategy, int]:
         """Bob table ``pick`` with Alice best-responding, and its win count.
 
         Alice's answer on each input is the smallest argmax of its row,
-        gathered from the representative rows.  ``pick`` is already Bob's
-        answer codes over the canonical matchings, so the strategy takes the
-        arrays as they are.
+        gathered from the representative rows.
         """
         agree_rep = self._agree(pick)
         choice = agree_rep.ravel()[self.gather].argmax(axis=1)
@@ -208,7 +195,8 @@ def alice_best_response(
     The returned success is the exact count achieved by that pair.
     """
     ctx = _context(inst.m)
-    strategy, wins = ctx.strategy(ctx.pick_from_bob(bob_table))
+    bob = DeterministicStrategy(inst.m, np.zeros(1 << inst.m, np.int64), bob_table)
+    strategy, wins = ctx.strategy(bob.bob_codes)
     return dict(strategy.alice), SuccessRatio(wins, ctx.total)
 
 
@@ -282,10 +270,12 @@ def hill_climb(
     """
     # the closed-form checks before the context build, the size check first
     _require_table_budget(inst)
+    iterations = _integer(iterations, "iterations")
     if iterations < 0:
         raise ValidationError(f"iterations must be non-negative, got {iterations}")
     if start is not None:
         _require_instance(start, inst)
+        _require_covering(start)
     ctx = _context(inst.m)
     rng = random.Random(seed)
     size = len(ctx.matchings)
@@ -294,10 +284,7 @@ def hill_climb(
         if history is not None:
             history.append((wins, kind))
 
-    if start is not None:
-        current = ctx.pick_from_bob(start.bob)
-    else:
-        current = _draws_below(rng, ctx.choices, size)
+    current = _draws_below(rng, ctx.choices, size) if start is None else start.bob_codes
     agree = ctx._agree(current)
     cur_wins = ctx.best(agree)
     note(cur_wins, "start")

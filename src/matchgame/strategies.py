@@ -10,10 +10,12 @@ int64 array over x ascending, holding the value of Alice's answer on x.
 Bob's table is the tuple ``bob_matchings`` of the matchings he answers and
 a read-only int64 array ``bob_codes`` of answer codes, one per matching:
 ``code = pos << n | b2`` answers edge ``pos`` of the matching (in its sorted
-edge order) with the n-bit b2 of that value.  ``strategy.alice`` and
-``strategy.bob`` are read-only Mapping views of these arrays (BitString x to
-BitString a, and matching to an (Edge, BitString) pair) that build those
-values only when an entry is read.
+edge order) with the n-bit b2 of that value.  Bob's table is stored in rank
+order, whatever order it was given in, so a total strategy's ``bob_codes[k]``
+answers the matching of rank k: it is the ``pick`` the search scores.
+``strategy.alice`` and ``strategy.bob`` are read-only Mapping views of these
+arrays (BitString x to BitString a, and matching to an (Edge, BitString)
+pair) that build those values only when an entry is read.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def _checked_tables(
     A Mapping is converted entry by entry, each entry checked as it is read;
     arrays are checked whole: Alice's answers below 2^n, each code's edge
     position below m/2 and b2 below 2^n, every matching on m vertices and
-    none repeated.
+    none repeated.  Bob's table comes back in rank order, as given if so.
     """
     if len(alice) != 1 << m:
         raise ValidationError(f"alice table has {len(alice)} entries, needs {1 << m}")
@@ -186,10 +188,13 @@ def _checked_tables(
             _require_type(y, PerfectMatching, "bob input")
             _require_vertices(y, m)
     ranks = np.fromiter(map(_RANK, matchings), np.int64, len(matchings))
-    _, first = np.unique(ranks, return_index=True)
-    if len(first) != len(matchings):
-        k = np.setdiff1d(np.arange(len(matchings)), first)[0]  # the first repeat
-        raise ValidationError(f"duplicate bob input {matchings[k]}")
+    if not (ranks[1:] > ranks[:-1]).all():
+        _, first = np.unique(ranks, return_index=True)  # by rank, each first input
+        if len(first) != len(matchings):
+            k = np.setdiff1d(np.arange(len(matchings)), first)[0]  # the first repeat
+            raise ValidationError(f"duplicate bob input {matchings[k]}")
+        matchings, codes = tuple(map(matchings.__getitem__, first.tolist())), codes[first]
+        codes.flags.writeable = False
     return values, matchings, codes
 
 
@@ -231,6 +236,8 @@ class _BobView(Mapping):
         self._index: dict[PerfectMatching, int] | None = None
 
     def __getitem__(self, y: PerfectMatching) -> BobEntry:
+        if not isinstance(y, PerfectMatching):
+            raise KeyError(y)
         if self._index is None:
             self._index = dict(zip(self._matchings, range(len(self._matchings))))
         code, n = int(self._codes[self._index[y]]), self._n
@@ -249,10 +256,10 @@ class PartialStrategy:
     ``alice`` is a Mapping BitString x -> BitString a or an integer array of
     answer values over x ascending; ``bob`` is a Mapping
     PerfectMatching -> (Edge, BitString b2) or a pair (matchings, answer
-    codes), as stored (see the module docstring).  Both are copied and
-    checked.  Instances are immutable: the arrays are read-only and the
-    views refuse assignment, which is what makes them safe to share across
-    workers.
+    codes), stored in rank order whatever order they come in (see the module
+    docstring).  Both are copied and checked.  Instances are immutable: the
+    arrays are read-only and the views refuse assignment, which is what makes
+    them safe to share across workers.
     """
 
     __slots__ = ("m", "alice_values", "bob_matchings", "bob_codes", "alice", "bob")
@@ -284,7 +291,9 @@ class PartialStrategy:
         return (
             self.m == other.m
             and np.array_equal(self.alice_values, other.alice_values)
-            and self.bob == other.bob
+            and np.array_equal(self.bob_codes, other.bob_codes)
+            # one m, so equal ranks are equal matchings
+            and list(map(_RANK, self.bob_matchings)) == list(map(_RANK, other.bob_matchings))
         )
 
     def __repr__(self) -> str:
@@ -301,11 +310,13 @@ class DeterministicStrategy(PartialStrategy):
 
     def __init__(self, m, alice, bob):
         super().__init__(m, alice, bob)
-        if not self.is_total:
-            covered = len(self.bob_matchings)
-            raise ValidationError(
-                f"bob table covers {covered} of {matching_count(m)} matchings"
-            )
+        _require_covering(self)
+
+
+def _require_covering(strategy: PartialStrategy) -> None:
+    if not strategy.is_total:
+        covered, count = len(strategy.bob_matchings), matching_count(strategy.m)
+        raise ValidationError(f"bob table covers {covered} of {count} matchings")
 
 
 def _require_instance(strategy: PartialStrategy, inst: GameInstance) -> None:

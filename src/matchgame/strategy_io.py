@@ -48,10 +48,9 @@ def format_strategy(strategy: PartialStrategy) -> str:
     n = GameInstance(m).n
     mask = (1 << n) - 1
     lines = [f"game m={m}\n", _alice_block(strategy.alice_values, m, n)]
-    bob = zip(strategy.bob_matchings, strategy.bob_codes.tolist())
     lines += (
         f"bob {y} -> {y.edges[code >> n]} {code & mask:0{n}b}\n"
-        for y, code in sorted(bob, key=lambda entry: entry[0].rank)
+        for y, code in zip(strategy.bob_matchings, strategy.bob_codes.tolist())
     )
     return "".join(lines)
 

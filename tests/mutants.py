@@ -58,7 +58,7 @@ MUTANTS = (
         "strategies.py",
         "k = np.setdiff1d(np.arange(len(matchings)), first)[0]",
         "repeats = np.setdiff1d(np.arange(len(matchings)), first)\n"
-        "        k = repeats[ranks[repeats].argmin()]",
+        "            k = repeats[ranks[repeats].argmin()]",
         (
             "tests/test_strategy_tables.py::TestArrayChecks"
             "::test_first_repeat_in_input_order_is_named",
@@ -204,5 +204,66 @@ MUTANTS = (
         "        if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:\n",
         "        if False:\n",
         ("tests/test_quantum.py::TestSharedState::test_norm_validated",),
+    ),
+    Mutant(
+        "stored-order-kept",
+        "strategies.py",
+        "        matchings, codes = tuple(map(matchings.__getitem__, first.tolist())), codes[first]\n",
+        "",
+        (
+            "tests/test_strategy_tables.py::TestStoredOrder"
+            "::test_any_given_order_is_stored_by_rank",
+            "tests/test_cli.py::test_cli_output_pinned[figures --m 6]",
+            "tests/test_strategy_io.py::TestFormatPinned"
+            "::test_output_is_byte_identical[partial-shuffled-m8]",
+        ),
+    ),
+    Mutant(
+        "rank-order-non-strict",
+        "strategies.py",
+        "if not (ranks[1:] > ranks[:-1]).all():",
+        "if not (ranks[1:] >= ranks[:-1]).all():",
+        ("tests/test_strategy_tables.py::TestArrayChecks::test_duplicate_matching_refused",),
+    ),
+    Mutant(
+        "equality-ignores-matchings",
+        "strategies.py",
+        "            and list(map(_RANK, self.bob_matchings)) == list(map(_RANK, other.bob_matchings))\n",
+        "",
+        (
+            "tests/test_strategy_tables.py::TestStoredOrder"
+            "::test_equal_codes_on_other_matchings_compare_unequal",
+        ),
+    ),
+    Mutant(
+        "graph-vertex-count-kept",
+        "coloring.py",
+        '_integer(self.vertex_count, "vertex count")',
+        "self.vertex_count",
+        ("tests/test_coloring.py::TestGraphBasics::test_vertex_count_must_be_an_integer",),
+    ),
+    Mutant(
+        "iterations-kept",
+        "search.py",
+        '    iterations = _integer(iterations, "iterations")\n',
+        "",
+        ("tests/test_search.py::TestHillClimb::test_iterations_must_be_an_integer",),
+    ),
+    Mutant(
+        "bob-view-hashes-any-key",
+        "strategies.py",
+        "        if not isinstance(y, PerfectMatching):\n",
+        "        if False:\n",
+        (
+            "tests/test_strategy_tables.py::TestImmutability"
+            "::test_views_answer_only_their_own_keys",
+        ),
+    ),
+    Mutant(
+        "partial-start-climbed",
+        "search.py",
+        "        _require_covering(start)\n",
+        "",
+        ("tests/test_strategy_tables.py::TestHillClimbStart::test_partial_start_refused",),
     ),
 )

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from matchgame.coloring import (
@@ -55,6 +56,12 @@ class TestGraphBasics:
         with pytest.raises(ValidationError, match=message):
             Graph(4, frozenset({(0, 1)}))
         assert Graph.from_pairs(4, [(0, 1)]) == Graph(4, frozenset({Edge(0, 1)}))
+
+    def test_vertex_count_must_be_an_integer(self):
+        g = Graph(np.int64(4), frozenset())
+        assert type(g.vertex_count) is int and g == Graph(4, frozenset())
+        with pytest.raises(ValidationError, match="vertex count must be an integer"):
+            Graph(4.0, frozenset())
 
     def test_components_examples(self):
         assert components(graph(4)) == [

@@ -116,7 +116,7 @@ class TestAliceBestResponse:
         del bob[missing]
         stranger = PerfectMatching.parse("0-1")
         bob[stranger] = (Edge(0, 1), BitString(0, 2))
-        with pytest.raises(ValidationError, match=f"bob table is missing matching {missing}"):
+        with pytest.raises(ValidationError, match="matching covers 2 vertices, expected 4"):
             alice_best_response(bob, inst)
 
 
@@ -359,6 +359,12 @@ class TestHillClimb:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):
             hill_climb(GameInstance(4), seed=0, iterations=-1)
+
+    def test_iterations_must_be_an_integer(self):
+        inst = GameInstance(4)
+        assert hill_climb(inst, 0, np.int64(30)) == hill_climb(inst, 0, 30)
+        with pytest.raises(ValidationError, match="iterations must be an integer"):
+            hill_climb(inst, seed=0, iterations=2.5)
 
     def test_m4_reaches_optimum_with_restarts(self):
         for seed in range(10):

@@ -4,12 +4,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgame import search
 from matchgame.errors import BudgetExceededError, ValidationError
 from matchgame.game import BitString, Edge, GameInstance
 from matchgame.matchings import PerfectMatching, enumerate_matchings
-from matchgame.search import _context, complete_anchor_strategy, hill_climb
+from matchgame.search import (
+    _context,
+    alice_best_response,
+    complete_anchor_strategy,
+    hill_climb,
+)
 from matchgame.strategies import DeterministicStrategy, PartialStrategy, anchor_strategy
 from matchgame.strategy_io import format_strategy, parse_strategy
 from test_strategy_io import _sha256, _shuffled_file
@@ -103,10 +110,63 @@ class TestImmutability:
         s = complete_anchor_strategy(GameInstance(4))
         assert BitString(0, 5) not in s.alice and BitString(16, 5) not in s.alice
         assert PerfectMatching.parse("0-1") not in s.bob
+        assert [] not in s.bob and "0-1,2-3" not in s.bob and 0 not in s.bob
+        with pytest.raises(KeyError):
+            s.bob[[]]
         with pytest.raises(KeyError):
             s.alice[BitString(0, 3)]
         with pytest.raises(KeyError):
             s.bob[PerfectMatching.parse("0-1,2-3,4-5")]
+
+
+class TestStoredOrder:
+    """Bob's table is stored in rank order, whatever order it was given in."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), m=st.sampled_from([2, 4, 6, 8]))
+    def test_any_given_order_is_stored_by_rank(self, data, m):
+        inst, ctx = GameInstance(m), _context(m)
+        n, mask = inst.n, (1 << inst.n) - 1
+        kept = sorted(data.draw(st.sets(st.integers(0, len(ctx.matchings) - 1))))
+        codes = data.draw(
+            st.lists(st.integers(0, ctx.choices - 1), min_size=len(kept), max_size=len(kept))
+        )
+        alice = np.random.default_rng(len(kept)).integers(0, 1 << n, 1 << m)
+        matchings = tuple(ctx.matchings[k] for k in kept)
+        canonical = PartialStrategy(m, alice, (matchings, codes))
+        order = data.draw(st.permutations(range(len(kept))))
+        ys, shuffled = [matchings[k] for k in order], [codes[k] for k in order]
+        bob = {y: (y.edges[c >> n], BitString(c & mask, n)) for y, c in zip(ys, shuffled)}
+        given_forms = (
+            PartialStrategy(m, alice, bob),
+            PartialStrategy(m, alice, (ys, np.array(shuffled, dtype=np.int64))),
+            parse_strategy(_shuffled_file(canonical, len(order))),
+        )
+        for s in given_forms:
+            ranks = [y.rank for y in s.bob_matchings]
+            assert ranks == sorted(set(ranks)) == [ctx.matchings[k].rank for k in kept]
+            assert s.bob_codes.tolist() == codes
+            assert not s.bob_codes.flags.writeable
+            assert dict(s.bob) == bob and np.array_equal(s.alice_values, alice)
+            assert s == canonical
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_alice_best_response_scores_the_table_as_the_context_does(self, m):
+        inst, ctx = GameInstance(m), _context(m)
+        pick = random_pick(ctx, random.Random(m))
+        expected, wins = ctx.strategy(pick)
+        entries = list(expected.bob.items())
+        random.Random(1).shuffle(entries)
+        alice, ratio = alice_best_response(dict(entries), inst)
+        assert alice == dict(expected.alice)
+        assert (ratio.wins, ratio.total) == (wins, ctx.total)
+
+    def test_equal_codes_on_other_matchings_compare_unequal(self):
+        values, matchings, codes = m4_tables()
+        first = PartialStrategy(4, values, (matchings[:2], codes[:2]))
+        other = PartialStrategy(4, values, (matchings[::2], codes[:2]))
+        assert first != other
+        assert first == PartialStrategy(4, values, (matchings[1::-1], codes[1::-1]))
 
 
 class TestArrayChecks:
