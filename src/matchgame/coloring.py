@@ -102,6 +102,7 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest path length between u and v; None when unreachable."""
+    u, v = _integer(u, "vertex"), _integer(v, "vertex")
     for vertex in (u, v):
         if not 0 <= vertex < g.vertex_count:
             raise ValidationError(
@@ -160,17 +161,18 @@ class _ParityUnionFind:
         return True
 
 
-def _check_parity_domain(g: Graph, h: ParityFunction) -> None:
+def _checked_parities(g: Graph, h: ParityFunction) -> dict[Edge, int]:
     if set(h) != set(g.edges):
         raise ValidationError("parity function domain must equal the edge set")
     for e, bit in h.items():
         if bit not in (0, 1):
             raise ValidationError(f"parity of {e} must be 0 or 1, got {bit!r}")
+    return {e: _integer(bit, f"parity of {e}") for e, bit in h.items()}
 
 
 def _propagate(g: Graph, h: ParityFunction) -> _ParityUnionFind | None:
     """Union-find holding every edge constraint of h; None on an odd cycle."""
-    _check_parity_domain(g, h)
+    h = _checked_parities(g, h)
     uf = _ParityUnionFind(g.vertex_count)
     for e in g.sorted_edges():
         if not uf.union(e.i, e.j, h[e]):
@@ -248,13 +250,12 @@ def audit_strategy(strategy: PartialStrategy, inst: GameInstance) -> StrategyAud
     The conditions are necessary for winning, not sufficient; the audit
     reports each separately and asserts no converse.
     """
-    _require_total(strategy, inst)
+    graph = bob_edge_graph(strategy, inst)  # checks that strategy is total
     m, n = inst.m, inst.n
     avals = strategy.alice_values
     # Largest class; argmax breaks ties toward the smallest answer so the
     # audit is deterministic.
     xs = np.flatnonzero(avals == np.bincount(avals).argmax())
-    graph = bob_edge_graph(strategy, inst)
     consistent = all(
         len(np.unique(_pair_parity(xs, m, e.i, e.j))) == 1 for e in graph.sorted_edges()
     )
@@ -353,8 +354,7 @@ class ImpossibilityCertificate:
 def impossibility_certificate(m: int) -> ImpossibilityCertificate:
     """Evaluate the component-count bound for an even m."""
     inst = GameInstance(m)
-    needed = m - inst.n
-    possible = m // 2
+    needed, possible = inst.m - inst.n, inst.m // 2
     return ImpossibilityCertificate(
         excluded=possible < needed,
         components_needed=needed,
@@ -364,10 +364,8 @@ def impossibility_certificate(m: int) -> ImpossibilityCertificate:
 
 def format_parity_graph(g: Graph, h: ParityFunction) -> str:
     """Text form: a ``graph n=<count>`` header, then ``edge i-j h=<0|1>`` lines."""
-    _check_parity_domain(g, h)
-    lines = [f"graph n={g.vertex_count}"]
-    for e in g.sorted_edges():
-        lines.append(f"edge {e} h={h[e]}")
+    h = _checked_parities(g, h)
+    lines = [f"graph n={g.vertex_count}"] + [f"edge {e} h={h[e]}" for e in g.sorted_edges()]
     return "\n".join(lines) + "\n"
 
 

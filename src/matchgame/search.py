@@ -36,9 +36,8 @@ from .strategies import (
     SuccessRatio,
     _anchor_tables,
     _bob_code,
-    _require_covering,
-    _require_instance,
     _require_table_budget,
+    _require_total,
 )
 
 __all__ = [
@@ -145,13 +144,13 @@ class _SearchContext:
         """Best-response win count of Bob table ``pick``, over the representatives."""
         return self.best(self._agree(pick))
 
-    def strategy(self, pick: np.ndarray) -> tuple[DeterministicStrategy, int]:
+    def strategy(self, pick: np.ndarray, agree_rep=None) -> tuple[DeterministicStrategy, int]:
         """Bob table ``pick`` with Alice best-responding, and its win count.
 
         Alice's answer on each input is the smallest argmax of its row,
-        gathered from the representative rows.
+        gathered from pick's representative rows ``agree_rep`` (_agree(pick) if None).
         """
-        agree_rep = self._agree(pick)
+        agree_rep = self._agree(pick) if agree_rep is None else agree_rep
         choice = agree_rep.ravel()[self.gather].argmax(axis=1)
         strategy = DeterministicStrategy(self.inst.m, choice, (self.matchings, pick))
         return strategy, self.best(agree_rep)
@@ -242,7 +241,7 @@ def complete_anchor_strategy(
     for k, y in enumerate(matchings):
         if codes[k] < 0:
             # code 0: the first edge with an all-zero b2
-            codes[k] = 0 if filler is None else _bob_code(y, filler(y), inst.m, inst.n)
+            codes[k] = 0 if filler is None else _bob_code(y, filler(y), inst.n)
     return DeterministicStrategy(inst.m, alice, (matchings, codes))
 
 
@@ -274,8 +273,7 @@ def hill_climb(
     if iterations < 0:
         raise ValidationError(f"iterations must be non-negative, got {iterations}")
     if start is not None:
-        _require_instance(start, inst)
-        _require_covering(start)
+        _require_total(start, inst)
     ctx = _context(inst.m)
     rng = random.Random(seed)
     size = len(ctx.matchings)
@@ -288,7 +286,7 @@ def hill_climb(
     agree = ctx._agree(current)
     cur_wins = ctx.best(agree)
     note(cur_wins, "start")
-    best_wins, best_pick = cur_wins, current
+    best_wins, best_pick, best_agree = cur_wins, current, agree
     for it in range(iterations):
         if best_wins == ctx.total:
             break
@@ -313,6 +311,6 @@ def hill_climb(
             else:
                 note(wins, "reject")
         if cur_wins > best_wins:
-            best_wins, best_pick = cur_wins, current
-    strategy, _ = ctx.strategy(best_pick)
+            best_wins, best_pick, best_agree = cur_wins, current, agree
+    strategy, _ = ctx.strategy(best_pick, best_agree)
     return strategy, SuccessRatio(best_wins, ctx.total)

@@ -16,6 +16,11 @@ answers the matching of rank k: it is the ``pick`` the search scores.
 ``strategy.alice`` and ``strategy.bob`` are read-only Mapping views of these
 arrays (BitString x to BitString a, and matching to an (Edge, BitString)
 pair) that build those values only when an entry is read.
+
+Each fact is checked in one place: the tables and each matching once in
+_checked_tables, each Mapping entry in _bob_code, and totality, with one
+message, in _require_total (for DeterministicStrategy, success,
+hill_climb(start=) and bob_edge_graph, so audit_strategy).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .game import (
     BitString,
     Edge,
     GameInstance,
+    _integer,
     _orbit_coordinates,
     _pair_parity,
     _parity,
@@ -74,6 +80,8 @@ class SuccessRatio:
     total: int
 
     def __post_init__(self):
+        object.__setattr__(self, "wins", _integer(self.wins, "wins"))
+        object.__setattr__(self, "total", _integer(self.total, "total"))
         if self.total <= 0:
             raise ValidationError("total question count must be positive")
         if not 0 <= self.wins <= self.total:
@@ -102,10 +110,8 @@ def _edge_position(edge: Edge, y: PerfectMatching) -> int:
         raise ValidationError(f"bob output {edge} is not an edge of {y}") from None
 
 
-def _bob_code(y: PerfectMatching, entry: BobEntry, m: int, n: int) -> int:
-    """The answer code pos << n | b2 of Bob's entry on y; ValidationError if illegal."""
-    _require_type(y, PerfectMatching, "bob input")
-    _require_vertices(y, m)
+def _bob_code(y: PerfectMatching, entry: BobEntry, n: int) -> int:
+    """pos << n | b2 of Bob's entry on the checked matching y; ValidationError if illegal."""
     if not (
         isinstance(entry, tuple)
         and len(entry) == 2
@@ -139,10 +145,10 @@ def _checked_tables(
 ) -> tuple[np.ndarray, tuple[PerfectMatching, ...], np.ndarray]:
     """Alice's answer array, Bob's matchings and his answer codes, checked.
 
-    A Mapping is converted entry by entry, each entry checked as it is read;
-    arrays are checked whole: Alice's answers below 2^n, each code's edge
-    position below m/2 and b2 below 2^n, every matching on m vertices and
-    none repeated.  Bob's table comes back in rank order, as given if so.
+    Each matching is checked once, before any code: a PerfectMatching on m
+    vertices, none repeated.  A Mapping's entries are checked as read, arrays
+    whole: Alice's answers below 2^n, each code's edge position below m/2 and
+    b2 below 2^n.  Bob's table comes back in rank order, as given if so.
     """
     if len(alice) != 1 << m:
         raise ValidationError(f"alice table has {len(alice)} entries, needs {1 << m}")
@@ -155,10 +161,17 @@ def _checked_tables(
             _require_bits(a, n, "alice output")
             table[x.value] = a.value
         alice = table
+    matchings = tuple(bob) if isinstance(bob, Mapping) else tuple(bob[0])
+    if not all(map(isinstance, matchings, repeat(PerfectMatching))) or set(
+        map(len, map(_EDGES, matchings))
+    ) - {m // 2}:
+        for y in matchings:  # the first offender, for its message
+            _require_type(y, PerfectMatching, "bob input")
+            _require_vertices(y, m)
     if isinstance(bob, Mapping):
-        bob = tuple(bob), [_bob_code(y, entry, m, n) for y, entry in bob.items()]
+        bob = matchings, [_bob_code(y, entry, n) for y, entry in bob.items()]
     values = _int_array(alice, "alice answers")
-    matchings, codes = tuple(bob[0]), _int_array(bob[1], "bob answer codes")
+    codes = _int_array(bob[1], "bob answer codes")
     if values.shape != (1 << m,):
         raise ValidationError(f"alice table has shape {values.shape}, not ({1 << m},)")
     bad = np.flatnonzero((values < 0) | (values >= 1 << n))
@@ -181,12 +194,6 @@ def _checked_tables(
             f"bob answer code {codes[k]} on {matchings[k]} is outside"
             f" 0..{((m // 2) << n) - 1}"
         )
-    if not all(map(isinstance, matchings, repeat(PerfectMatching))) or set(
-        map(len, map(_EDGES, matchings))
-    ) - {m // 2}:
-        for y in matchings:  # the first offender, for its message
-            _require_type(y, PerfectMatching, "bob input")
-            _require_vertices(y, m)
     ranks = np.fromiter(map(_RANK, matchings), np.int64, len(matchings))
     if not (ranks[1:] > ranks[:-1]).all():
         _, first = np.unique(ranks, return_index=True)  # by rank, each first input
@@ -271,7 +278,8 @@ class PartialStrategy:
         bob: Mapping[PerfectMatching, BobEntry]
         | tuple[Sequence[PerfectMatching], np.ndarray],
     ):
-        n = GameInstance(m).n
+        inst = GameInstance(m)
+        m, n = inst.m, inst.n
         values, matchings, codes = _checked_tables(m, n, alice, bob)
         self.m = m
         self.alice_values, self.bob_matchings, self.bob_codes = values, matchings, codes
@@ -310,13 +318,7 @@ class DeterministicStrategy(PartialStrategy):
 
     def __init__(self, m, alice, bob):
         super().__init__(m, alice, bob)
-        _require_covering(self)
-
-
-def _require_covering(strategy: PartialStrategy) -> None:
-    if not strategy.is_total:
-        covered, count = len(strategy.bob_matchings), matching_count(strategy.m)
-        raise ValidationError(f"bob table covers {covered} of {count} matchings")
+        _require_total(self, GameInstance(self.m))
 
 
 def _require_instance(strategy: PartialStrategy, inst: GameInstance) -> None:
@@ -329,10 +331,10 @@ def _require_instance(strategy: PartialStrategy, inst: GameInstance) -> None:
 def _require_total(strategy: PartialStrategy, inst: GameInstance) -> None:
     _require_instance(strategy, inst)
     if not strategy.is_total:
-        undefined = matching_count(inst.m) - len(strategy.bob_matchings)
+        covered, count = len(strategy.bob_matchings), matching_count(inst.m)
         raise ValidationError(
-            "operation needs a total strategy; this partial one leaves"
-            f" {undefined} matchings undefined"
+            f"bob table covers {covered} of {count} matchings:"
+            " a partial strategy, where a total one is needed"
         )
 
 
@@ -467,6 +469,7 @@ def indicator_string(i: int, j: int, inst: GameInstance) -> BitString:
     answer, i.e. bit k counted from the least significant end.
     """
     n = inst.n
+    i, j = _integer(i, "position"), _integer(j, "position")
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"positions must lie in 0..{n - 1}, got ({i}, {j})")
     return BitString((1 << i) | (1 << j), n)

@@ -262,8 +262,94 @@ MUTANTS = (
     Mutant(
         "partial-start-climbed",
         "search.py",
-        "        _require_covering(start)\n",
+        "    if start is not None:\n        _require_total(start, inst)\n",
         "",
         ("tests/test_strategy_tables.py::TestHillClimbStart::test_partial_start_refused",),
+    ),
+    Mutant(
+        "deterministic-skips-total",
+        "strategies.py",
+        "        _require_total(self, GameInstance(self.m))\n",
+        "",
+        ("tests/test_boundaries.py::test_one_totality_message[DeterministicStrategy]",),
+    ),
+    Mutant(
+        "edge-graph-skips-total",
+        "coloring.py",
+        "    _require_total(strategy, inst)\n",
+        "",
+        (
+            "tests/test_boundaries.py::test_one_totality_message[bob_edge_graph]",
+            "tests/test_boundaries.py::test_one_totality_message[audit_strategy]",
+        ),
+    ),
+    Mutant(
+        "bob-matchings-unchecked",
+        "strategies.py",
+        "        for y in matchings:  # the first offender, for its message\n",
+        "        for y in ():\n",
+        (
+            "tests/test_strategy_tables.py::TestEntryTypes::test_bob_input",
+            "tests/test_boundaries.py::test_bob_matchings_checked_before_their_answers",
+        ),
+    ),
+    Mutant(
+        "best-rows-stale",
+        "search.py",
+        "ctx.strategy(best_pick, best_agree)",
+        "ctx.strategy(best_pick, agree)",
+        ("tests/test_boundaries.py::test_climb_returns_alice_for_its_best_table",),
+    ),
+    Mutant(
+        "distance-vertices-kept",
+        "coloring.py",
+        '    u, v = _integer(u, "vertex"), _integer(v, "vertex")\n',
+        "",
+        ("tests/test_boundaries.py::test_distance_vertices_must_be_integers",),
+    ),
+    Mutant(
+        "indicator-positions-kept",
+        "strategies.py",
+        '    i, j = _integer(i, "position"), _integer(j, "position")\n',
+        "",
+        ("tests/test_boundaries.py::test_indicator_positions_must_be_integers",),
+    ),
+    Mutant(
+        "success-ratio-wins-kept",
+        "strategies.py",
+        '        object.__setattr__(self, "wins", _integer(self.wins, "wins"))\n',
+        "",
+        ("tests/test_boundaries.py::test_success_ratio_counts_are_integers",),
+    ),
+    Mutant(
+        "success-ratio-total-kept",
+        "strategies.py",
+        '        object.__setattr__(self, "total", _integer(self.total, "total"))\n',
+        "",
+        ("tests/test_boundaries.py::test_success_ratio_counts_are_integers",),
+    ),
+    Mutant(
+        "strategy-m-kept",
+        "strategies.py",
+        "        m, n = inst.m, inst.n\n",
+        "        n = inst.n\n",
+        ("tests/test_boundaries.py::test_strategy_m_is_stored_as_int",),
+    ),
+    Mutant(
+        "certificate-m-kept",
+        "coloring.py",
+        "    needed, possible = inst.m - inst.n, inst.m // 2\n",
+        "    needed, possible = m - inst.n, m // 2\n",
+        ("tests/test_boundaries.py::test_certificate_of_a_numpy_m_is_plain",),
+    ),
+    Mutant(
+        "parity-bits-kept",
+        "coloring.py",
+        '    return {e: _integer(bit, f"parity of {e}") for e, bit in h.items()}\n',
+        "    return dict(h)\n",
+        (
+            "tests/test_boundaries.py::test_parity_bits_are_written_as_0_or_1",
+            "tests/test_boundaries.py::test_non_integer_parity_bits_refused",
+        ),
     ),
 )
